@@ -7,7 +7,10 @@ from repro.core import gam, molesp
 from repro.core.filters import CTPFilters
 from repro.graph.random_graphs import dbpedia_lite, sample_ctp_workload
 
-_FILTERS = CTPFilters(uni=True, limit=1, timeout_s=5.0)
+# A deterministic budget instead of a wall-clock timeout: every MoLESP
+# query here stops at LIMIT within 5,095 built trees, so a search
+# regression fails the assertion below instead of silently timing out.
+_FILTERS = CTPFilters(uni=True, limit=1, max_built=100_000)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +35,8 @@ def test_fig12_molesp(benchmark, graph, workloads, m):
             molesp(graph, ss, filters=_FILTERS) for ss in workloads[m]
         ]
 
-    benchmark.pedantic(run, iterations=1, rounds=2)
+    outs = benchmark.pedantic(run, iterations=1, rounds=2)
+    assert all(o.limit_hit and len(o.results) == 1 for o in outs)
 
 
 @pytest.mark.parametrize("m", [2, 4])

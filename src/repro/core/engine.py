@@ -12,8 +12,8 @@ Implements Algorithms 1-5 of §4 with the variant switches factored into
   seed signature |ss_n| >= 3 and degree d_n >= 3 escapes ESP pruning if no
   tree with the same edges is already rooted at ``n`` (Algorithm 4);
 * ``multi_queue`` — §4.9: one priority queue per seed-set signature, Grow
-  pops from the queue holding the fewest entries (large-seed-set
-  robustness).
+  pops from the queue holding the fewest pending candidates
+  (large-seed-set robustness).
 
 ``N`` seed sets (all graph nodes, §4.9(i)) are passed as the
 :data:`ALL_NODES` sentinel: no INIT trees are created for them, any node
@@ -24,6 +24,15 @@ with FIFO tie-breaks by default; ``rng_seed`` randomizes tie-breaks, which
 the tests use to exercise "bad" execution orders for the incompleteness
 counter-examples (the paper's completeness claims are order-independent,
 and are tested as such).
+
+Grow queue: a Grow candidate is a (tree, edge) pair. A registered tree's
+candidates are computed once, when it is queued. Under FIFO ties they
+would pop as one contiguous block, so the tree takes one heap entry whose
+candidate list is consumed in place: a tree rooted at a hub costs one heap
+push, not one per incident edge, so a LIMIT search that stops early pays
+no heap push for the edges it never pops. Under random ties every
+candidate draws its own key and takes its own entry. The multi-queue rule
+counts pending candidates, not heap entries.
 """
 from __future__ import annotations
 
@@ -134,9 +143,11 @@ class RootedSearch:
         self.rooted_in: dict[int, list[RTree]] = {}
         self.rooted_edge_sets: dict[int, set[frozenset[int]]] = {}
         self.ss: dict[int, int] = {}                         # seed signatures
-        self.queued: set[tuple[frozenset[int], int, int]] = set()
+        self.queued: set[tuple[frozenset[int], int]] = set()  # (edges, root)
         self.queues: dict[int, list] = {}                    # sat -> heap
+        self.pending: dict[int, int] = {}     # multi-queue: sat -> candidates left
         self.n_queued = 0
+        self.adj_cache: dict[int, tuple[Adj, ...]] = {}      # see _grow_adj
         self.results: dict = {}
         self.stats = SearchStats()
         self._seq = 0
@@ -151,23 +162,26 @@ class RootedSearch:
         self._limit_hit = False
 
     # ---- small helpers ---------------------------------------------------
-    def _tie(self) -> float | int:
-        if self._rng is not None:
-            return self._rng.random()
-        self._seq += 1
-        return self._seq
-
     def _check_budget(self) -> None:
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise _Stop(timed_out=True)
         if self.f.max_built is not None and self.stats.built >= self.f.max_built:
             raise _Stop(timed_out=True)
 
-    def _adj(self, n: int):
-        for a in self.g.adj_of(n):
-            if self.f.labels is not None and a.label not in self.f.labels:
-                continue
-            yield a
+    def _grow_adj(self, n: int) -> tuple[Adj, ...]:
+        """Edges Grow may traverse from a tree rooted at ``n``. LABEL and
+        UNI depend on the node only, so each adjacency is filtered once."""
+        adj = self.adj_cache.get(n)
+        if adj is None:
+            labels = self.f.labels
+            adj = self.adj_cache[n] = tuple(
+                a for a in self.g.adj_of(n)
+                if (labels is None or a.label in labels)
+                # UNI: only traverse edges pointing from the new root at
+                # a.other *into* the tree, so results are root-directed.
+                and not (self.f.uni and a.outgoing)
+            )
+        return adj
 
     # ---- Algorithm 4: isNew ---------------------------------------------
     def _is_new(self, t: RTree) -> bool:
@@ -279,43 +293,60 @@ class RootedSearch:
 
     # ---- Grow ------------------------------------------------------------
     def _push_grows(self, t: RTree) -> None:
-        for a in self._adj(t.root):
-            if self.f.uni and a.outgoing:
-                # UNI: only traverse edges pointing from the new root at
-                # a.other *into* the tree, so results are root-directed.
-                continue
-            if a.other in t.nodes:  # Grow1
-                continue
-            if self.node_sets.get(a.other, 0) & t.sat:  # Grow2
-                continue
-            if self.f.max_edges is not None and t.size + 1 > self.f.max_edges:
-                continue
-            key = (t.edges, t.root, a.eid)
-            if key in self.queued:
-                continue
-            self.queued.add(key)
-            qkey = t.sat if self.cfg.multi_queue else 0
+        """Queue the Grow candidates of ``t``: one heap entry for the whole
+        tree under FIFO ties, one per candidate under random ties.
+
+        An entry is ``(prio, tie, seq, tree, candidates)``, the candidates
+        reversed so that ``pop()`` hands them out in adjacency order. The
+        unique ``seq`` keeps heap comparisons away from the tree. Under
+        FIFO ties the tie is ``seq`` itself: a tree's candidates would get
+        consecutive keys, so they pop as one block either way.
+        """
+        if self.f.max_edges is not None and t.size >= self.f.max_edges:
+            return  # MAX
+        nodes, sat, node_sets = t.nodes, t.sat, self.node_sets
+        cands = [
+            a for a in reversed(self._grow_adj(t.root))
+            if a.other not in nodes                   # Grow1
+            and not node_sets.get(a.other, 0) & sat   # Grow2
+        ]
+        if not cands:
+            return
+        key = (t.edges, t.root)
+        if key in self.queued:
+            return
+        self.queued.add(key)
+        qkey = t.sat if self.cfg.multi_queue else 0
+        heap = self.queues.setdefault(qkey, [])
+        if self.cfg.multi_queue:
+            self.pending[qkey] = self.pending.get(qkey, 0) + len(cands)
+        self.n_queued += len(cands)
+        prio = t.size + 1
+        if self._rng is None:
             self._seq += 1
-            prio = (
-                self._rng.random()
-                if self.cfg.priority == "random"
-                else t.size + 1
-            )
-            heapq.heappush(
-                self.queues.setdefault(qkey, []),
-                (prio, self._tie(), self._seq, t, a),
-            )
-            self.n_queued += 1
+            heapq.heappush(heap, (prio, self._seq, self._seq, t, cands))
+            return
+        for a in reversed(cands):
+            if self.cfg.priority == "random":
+                prio = self._rng.random()
+            self._seq += 1
+            heapq.heappush(heap, (prio, self._rng.random(), self._seq, t, [a]))
 
     def _pop(self) -> tuple[RTree, Adj]:
         if self.cfg.multi_queue:
+            # §4.9: serve the queue with the fewest pending candidates.
             qkey = min(
-                (k for k, q in self.queues.items() if q),
-                key=lambda k: len(self.queues[k]),
+                (k for k, n in self.pending.items() if n),
+                key=self.pending.__getitem__,
             )
+            self.pending[qkey] -= 1
         else:
             qkey = 0
-        _, _, _, t, a = heapq.heappop(self.queues[qkey])
+        heap = self.queues[qkey]
+        t, cands = heap[0][3:]
+        a = cands.pop()  # the entry's key is unchanged: the heap stays valid
+        if not cands:
+            heapq.heappop(heap)
         self.n_queued -= 1
         return t, a
 
@@ -342,12 +373,12 @@ class RootedSearch:
     def _try_merge(self, t1: RTree, t2: RTree) -> RTree | None:
         self.stats.merges_tried += 1
         root = t1.root
-        if (t1.nodes & t2.nodes) != {root}:  # Merge1
-            return None
-        overlap = t1.sat & t2.sat
         # Merge2, read per DESIGN.md §6: sat overlap only through the
-        # shared root (required by the §4.5 MoESP walk-through).
-        if overlap & ~self.node_sets.get(root, 0):
+        # shared root (required by the §4.5 MoESP walk-through). Tested
+        # before Merge1: it is a mask test and rejects most attempts.
+        if t1.sat & t2.sat & ~self.node_sets.get(root, 0):
+            return None
+        if (t1.nodes & t2.nodes) != {root}:  # Merge1
             return None
         if (
             self.f.max_edges is not None

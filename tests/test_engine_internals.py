@@ -15,6 +15,28 @@ def run_search(bundle, **cfg):
     return s, out
 
 
+class PopRecorder(RootedSearch):
+    """Records every (tree, edge) Grow candidate the queue hands out."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.popped = []
+
+    def _pop(self):
+        t, a = super()._pop()
+        self.popped.append((t, a))
+        return t, a
+
+
+def run_recorded(bundle, **cfg):
+    s = PopRecorder(bundle.graph, bundle.seed_sets, SearchConfig(**cfg))
+    out = s.run()
+    # An exhaustive search pops every candidate it queued.
+    assert out.exhausted and s.n_queued == 0
+    assert not any(s.queues.values()) and not any(s.pending.values())
+    return s, out
+
+
 def test_seed_signatures_on_fig5():
     """After a full MoLESP run on fig5, the center x has all three bits set
     (one rooted path from each seed reached it)."""
@@ -40,12 +62,17 @@ def test_lesp_exemption_requires_degree_3():
 
 def test_mo_trees_disable_grow():
     """Trees whose provenance includes Mo must never enter the grow queue:
-    on a line, MoESP builds fewer grow entries than rooted trees."""
+    MoESP registers Mo trees, and no Grow ever pops one. On fig4 (m=6)
+    some merges of Mo copies are not yet results and have Grow edges."""
     b = gen.line(3, 1)
-    s, out = run_search(b, esp=True, mo=True)
+    s, out = run_recorded(b, esp=True, mo=True)
     # At least one Mo tree was registered (kept > hist size because Mo
     # copies share edge sets with their originals).
     assert out.stats.kept > len(s.hist)
+    for b in (gen.line(3, 1), gen.fig4()):
+        s, _ = run_recorded(b, esp=True, mo=True)
+        assert any(t.no_grow for ts in s.rooted_in.values() for t in ts)
+        assert s.popped and not any(t.no_grow for t, _ in s.popped)
 
 
 def test_rtree_properties():
@@ -90,9 +117,15 @@ def test_merge_root_seed_overlap_allowed():
 
 
 def test_queue_dedup_no_duplicate_entries():
+    """No (tree, edge) candidate is queued twice, and every queued
+    candidate is popped exactly once, as one Grow."""
     b = gen.line(3, 1)
-    s, out = run_search(b)
-    assert len(s.queued) == out.stats.grows  # every queued pair popped once
+    for cfg in ({}, {"esp": True, "mo": True, "lesp": True},
+                {"rng_seed": 1}, {"multi_queue": True}):
+        s, out = run_recorded(b, **cfg)
+        pairs = [(t.edges, t.root, a.eid) for t, a in s.popped]
+        assert len(pairs) == len(set(pairs)) == out.stats.grows, cfg
+        assert {(e, r) for e, r, _ in pairs} == s.queued, cfg
 
 
 def test_timeout_zero_still_returns_outcome():
