@@ -4,13 +4,17 @@ natural join + head projection on Spark.
 Steps, following the paper exactly:
 
 (A) each BGP compiles to SQL and is evaluated by Spark — the "existing
-    conjunctive graph query engine";
-(B) for each CTP, seed sets are derived (from the BGP tables where the
-    variable is shared, from the node tables via the predicate otherwise,
-    or the N sentinel for a bare variable), then the chosen §4 algorithm
-    runs with filters pushed;
-(C) the CTP result table is joined (natural join on shared variables) with
-    the BGP tables and projected on the head.
+    conjunctive graph query engine". Its SQL runs exactly once, as one
+    Arrow collect of the columns the query needs (head ∪ CTP seed
+    variables), de-duplicated on the driver. A BGP that binds none of
+    them is only tested for emptiness;
+(B) for each CTP, seed sets are derived (from those driver copies where
+    the variable is shared, from the node tables via the predicate
+    otherwise, or the N sentinel for a bare variable), then the chosen §4
+    algorithm runs with filters pushed;
+(C) the CTP result tables and the driver copies of the BGP tables, both
+    handed back to Spark through Arrow, are natural-joined on shared
+    variables and projected on the head. Nothing is cached.
 
 CTP evaluation runs either on the driver (``ctp_mode="local"``, the
 paper's own setting) or fanned out over Spark by seed-set chunks
@@ -22,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -32,7 +37,7 @@ from ..core.filters import CTPFilters
 from ..core.tree import ResultTree
 from ..graph.model import LocalGraph
 from ..lang.ast import CTP, CTPFilterSpec, Pred, Query
-from .bgp import to_sql
+from .bgp import _node_cond_sql, to_sql
 
 SCORE_REGISTRY = {
     "size": scoring.size_score,
@@ -64,7 +69,10 @@ def filters_from_spec(
 
 @dataclass
 class EQLReport:
-    """Evaluation artifacts: the per-step tables and CTP search stats."""
+    """Evaluation artifacts: the per-step tables and CTP search stats.
+
+    ``bgp_tables`` are the BGPs' full SQL DataFrames, uncached: reading
+    one runs its SQL again."""
 
     bgp_tables: list[DataFrame] = field(default_factory=list)
     ctp_tables: list[DataFrame] = field(default_factory=list)
@@ -86,32 +94,19 @@ class EQLEngine:
     # ---- step (B1): seed sets -------------------------------------------
     def _pred_nodes(self, pred: Pred) -> list[int]:
         """Nodes satisfying a predicate, via Spark over nodes/types."""
-        conds = []
-        for c in pred.conds:
-            from .bgp import _node_cond_sql
-
-            conds.append(_node_cond_sql("n", c))
+        conds = [_node_cond_sql("n", c) for c in pred.conds]
         sql = "SELECT n.id FROM nodes n"
         if conds:
             sql += " WHERE " + " AND ".join(conds)
         return [int(r["id"]) for r in self.spark.sql(sql).collect()]
 
-    def _seed_set(
-        self, pred: Pred, bgp_tables: list[DataFrame], bgp_vars: list[set[str]]
-    ):
-        bound = None
-        for df, vs in zip(bgp_tables, bgp_vars):
-            if pred.var in vs:
-                bound = [
-                    int(r[pred.var])
-                    for r in df.select(pred.var).distinct().collect()
-                ]
-                break
-        if bound is not None:
-            if not pred.is_empty:
-                allowed = set(self._pred_nodes(pred))
-                bound = [n for n in bound if n in allowed]
-            return sorted(set(bound))
+    def _seed_set(self, pred: Pred, bound: list[pd.DataFrame]):
+        for pdf in bound:
+            if pred.var in pdf.columns:
+                nodes = set(pdf[pred.var].tolist())
+                if not pred.is_empty:
+                    nodes &= set(self._pred_nodes(pred))
+                return sorted(nodes)
         if pred.is_empty:
             return ALL_NODES
         return self._pred_nodes(pred)
@@ -157,7 +152,9 @@ class EQLEngine:
             + [f"{w} string", f"{w}_size long"]
             + ([f"{w}_score double"] if scored else [])
         )
-        return self.spark.createDataFrame(rows, schema=schema)
+        return self.spark.createDataFrame(
+            pd.DataFrame(rows, columns=cols), schema=schema
+        )
 
     # ---- full evaluation -------------------------------------------------
     def evaluate(
@@ -176,20 +173,31 @@ class EQLEngine:
         # to the fixed names edges/nodes/types.
         for name, df in self.dfs.items():
             df.createOrReplaceTempView(name)
-        # (A) BGP evaluation on Catalyst.
-        bgp_vars: list[set[str]] = []
+        # (A) BGP evaluation on Catalyst, one Arrow collect per BGP. Def.
+        # 2.10 is set-based, so each BGP is projected onto the variables
+        # that can influence the output (head ∪ CTP seed variables) and
+        # de-duplicated: unused BGP variables would only multiply the join.
+        # BGPs are maximal variable-connected groups, so no join key is lost.
+        needed = set(query.head)
+        for c in query.ctps:
+            needed.update(p.var for p in c.preds)
+        bound: list[pd.DataFrame] = []
+        guard_empty = False
         for b in query.bgps:
-            df = self.spark.sql(to_sql(b)).cache()
+            df = self.spark.sql(to_sql(b))
             report.bgp_tables.append(df)
-            bgp_vars.append(set(b.variables()))
+            keep = [c for c in df.columns if c in needed]
+            if keep:
+                bound.append(df.select(*keep).toPandas().drop_duplicates())
+            else:
+                # A fully-projected-away BGP still acts as a boolean
+                # guard: no embeddings => empty result.
+                guard_empty = guard_empty or df.isEmpty()
 
         # (B) CTP evaluation.
         algo_fn = core.ALGORITHMS[algo]
         for ctp in query.ctps:
-            seed_sets = [
-                self._seed_set(p, report.bgp_tables, bgp_vars)
-                for p in ctp.preds
-            ]
+            seed_sets = [self._seed_set(p, bound) for p in ctp.preds]
             report.seed_sets.append(seed_sets)
             filters = filters_from_spec(ctp.filters, default_filters)
             if ctp_mode == "distributed":
@@ -210,27 +218,13 @@ class EQLEngine:
                 self._ctp_table(ctp, seed_sets, results, filters.score is not None)
             )
 
-        # (C) natural join + head projection. Def. 2.10 is set-based, so
-        # each BGP table is first projected onto the variables that can
-        # influence the output (head ∪ CTP seed variables) and
-        # de-duplicated — otherwise unused BGP variables multiply the
-        # join (their bindings are projected away anyway).
-        needed = set(query.head)
-        for c in query.ctps:
-            needed.update(p.var for p in c.preds)
-        join_tables = []
-        for df in report.bgp_tables:
-            keep = [c for c in df.columns if c in needed]
-            if keep:
-                join_tables.append(df.select(*keep).distinct())
-            elif df.isEmpty():
-                # A fully-projected-away BGP still acts as a boolean
-                # guard: no embeddings => empty result.
-                report.result = self.spark.createDataFrame(
-                    [], schema=", ".join(f"{h} string" for h in query.head)
-                )
-                return report
-        tables = join_tables + report.ctp_tables
+        # (C) natural join + head projection.
+        tables = [
+            self.spark.createDataFrame(
+                pdf, schema=", ".join(f"{c} long" for c in pdf.columns)
+            )
+            for pdf in bound
+        ] + report.ctp_tables
         joined = reduce(_natural_join, tables).distinct()
         head_cols: list[str] = []
         for h in query.head:
@@ -241,6 +235,8 @@ class EQLEngine:
             else:
                 head_cols.append(h)
         report.result = joined.select(*[F.col(c) for c in head_cols])
+        if guard_empty:
+            report.result = self.spark.createDataFrame([], report.result.schema)
         return report
 
 

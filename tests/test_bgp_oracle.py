@@ -99,3 +99,26 @@ def test_on_yago_lite(spark):
         'SELECT x, y WHERE (x{type="person"}, "knows", y) AND CTP(x, y, *w)'
     )
     _check(spark, tables, q.bgps[0], project=["x", "y"])
+
+
+@pytest.fixture
+def fig1_edges(spark, fig1_tables):
+    """Fig 1's edges under a view name no other test re-registers."""
+    pdf = fig1_tables["edges"]
+    spark.createDataFrame(pdf).createOrReplaceTempView("fig1_edges")
+    return pdf
+
+
+def test_oracle_agreement_on_aggregate(spark, fig1_edges):
+    q = """
+        SELECT label, COUNT(*) AS n, AVG(src) AS mean_src
+        FROM fig1_edges GROUP BY label
+    """
+    assert_equivalent(spark.sql(q), q, fig1_edges=fig1_edges)
+
+
+def test_oracle_catches_wrong_result(spark, fig1_edges):
+    good = "SELECT COUNT(*) AS n FROM fig1_edges"
+    bad_df = spark.sql("SELECT COUNT(*) + 1 AS n FROM fig1_edges")
+    with pytest.raises(AssertionError):
+        assert_equivalent(bad_df, good, fig1_edges=fig1_edges)

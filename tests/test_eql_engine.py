@@ -2,14 +2,16 @@
 and CDF benchmark graphs."""
 import json
 
+import duckdb
 import pytest
 
 from repro.core import ALL_NODES
 from repro.core.filters import CTPFilters
-from repro.eql import EQLEngine, filters_from_spec
+from repro.eql import EQLEngine, filters_from_spec, to_sql
 from repro.graph import generators as gen
 from repro.lang import parse
 from repro.lang.ast import CTPFilterSpec
+from repro.oracle import assert_equivalent
 
 Q1 = '''
 SELECT x, y, z, w
@@ -110,6 +112,47 @@ def test_n_seed_set_query(fig1_engine):
     assert all(r["w_size"] <= 2 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "node_type, expected",
+    [("politician", [9]), ("entrepreneur", [2, 3, 4, 6])],
+    ids=["politician", "entrepreneur"],
+)
+def test_bound_seed_set_intersects_predicate(fig1_engine, node_type, expected):
+    """Step (B1): a predicate on a BGP-bound variable narrows the BGP's
+    bindings (every citizenOf source) to the nodes that satisfy it."""
+    q = parse(
+        f'SELECT x, w WHERE (x, "citizenOf", y) '
+        f'AND CTP(x{{type="{node_type}"}}, "USA", *w)'
+    )
+    g = fig1_engine.graph
+    citizens = {e.src for e in g.edges.values() if e.label == "citizenOf"}
+    assert sorted(citizens & set(g.nodes_by_type(node_type))) == expected
+    assert citizens > set(expected)
+    assert fig1_engine.evaluate(q).seed_sets[0] == [expected, [10]]
+
+
+def test_empty_guard_bgp_keeps_result_schema(fig1_engine):
+    """A BGP binding no needed variable only guards the result; when it
+    matches nothing the result is empty but keeps the normal schema."""
+    guard = (
+        'SELECT x, w WHERE (a, "{}", b) AND CTP(x{{label="Alice"}}, "USA", *w)'
+    )
+    empty = fig1_engine.evaluate(parse(guard.format("noSuchLabel"))).result
+    full = fig1_engine.evaluate(parse(guard.format("citizenOf"))).result
+    assert empty.count() == 0 and full.count() > 0
+    assert empty.dtypes == full.dtypes == [
+        ("x", "bigint"), ("w", "string"), ("w_size", "bigint")
+    ]
+
+
+def test_evaluate_leaves_no_persistent_rdds(fig1_engine, spark):
+    """Evaluating and counting a query leaves nothing cached behind."""
+    jsc = spark.sparkContext._jsc
+    before = jsc.getPersistentRDDs().size()
+    fig1_engine.evaluate(parse(Q1)).result.count()
+    assert jsc.getPersistentRDDs().size() == before
+
+
 def test_filters_from_spec_merges_defaults():
     f = filters_from_spec(
         CTPFilterSpec(uni=True, max_edges=3), CTPFilters(timeout_s=5.0)
@@ -175,6 +218,55 @@ def test_cdf_m3_uni_exactly_links(spark):
     )
     rows = rep.result.collect()
     assert {(r["tl"], r["bl1"], r["bl2"]) for r in rows} == set(b.links)
+
+
+def _assert_join_matches_duckdb(graph, query, rep):
+    """Step (C) against DuckDB: the full BGP tables (each ``to_sql(bgp)``
+    run by DuckDB, no pre-projection) natural-joined with the engine's CTP
+    tables, then projected on the head with set semantics."""
+    con = duckdb.connect()
+    try:
+        for name, pdf in graph.to_pandas().items():
+            con.register(name, pdf)
+        bgps = {
+            f"b{i}": con.execute(to_sql(b)).fetchdf()
+            for i, b in enumerate(query.bgps)
+        }
+    finally:
+        con.close()
+    # CTP tables first: every BGP shares a seed variable with one of them.
+    tables = {f"c{i}": t for i, t in enumerate(rep.ctp_tables)} | bgps
+    sql = (
+        f"SELECT DISTINCT {', '.join(rep.result.columns)} FROM "
+        + " NATURAL JOIN ".join(tables)
+    )
+    assert_equivalent(rep.result, sql, **tables)
+
+
+# e and o are not needed: each entrepreneur has several (e, o) rows, which
+# the set semantics of Def. 2.10 must not turn into duplicate answers.
+TWO_CTPS = '''
+SELECT x, w1, w2
+WHERE (x{type="entrepreneur"}, e, o)
+AND CTP(x, "USA", *w1) MAX 3
+AND CTP(x, "France", *w2) MAX 3
+'''
+
+
+@pytest.mark.parametrize("text", [Q1, TWO_CTPS], ids=["q1", "two_ctps"])
+def test_fig1_join_matches_duckdb(fig1_engine, text):
+    q = parse(text)
+    rep = fig1_engine.evaluate(q)
+    assert rep.result.count() > 0
+    _assert_join_matches_duckdb(fig1_engine.graph, q, rep)
+
+
+@pytest.mark.parametrize("uni", [True, False], ids=["uni", "bidir"])
+def test_cdf_m3_join_matches_duckdb(spark, uni):
+    b = gen.cdf(3, n_t=3, n_l=5, s_l=3, seed=5)
+    q = parse(CDF_Q3.replace("*l)", "*l) UNI") if uni else CDF_Q3)
+    rep = EQLEngine(spark, b.graph).evaluate(q)
+    _assert_join_matches_duckdb(b.graph, q, rep)
 
 
 def test_distributed_ctp_mode_matches_local(spark):
