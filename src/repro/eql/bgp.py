@@ -3,98 +3,127 @@
 Each Basic Graph Pattern compiles to one conjunctive SQL query over the
 relational graph encoding ``edges(id, src, label, dst)``, ``nodes(id,
 label)``, ``types(id, type)`` — mirroring the paper's
-``graph(id, source, edgeLabel, target)`` PostgreSQL table. The emitted SQL
-is deliberately engine-neutral: the same string runs on Spark (Catalyst)
-and on DuckDB, which is how the oracle tests validate the compiler.
+``graph(id, source, edgeLabel, target)`` PostgreSQL table. The FROM clause
+holds only ``edges``, one alias per edge variable: a node variable is the
+endpoint column it first appears in, and its conditions are semi-joins
+(``EXISTS``) on ``types`` or ``nodes``. The emitted SQL is deliberately
+engine-neutral: the same string runs on Spark (Catalyst) and on DuckDB,
+which is how the oracle tests validate the compiler.
 """
 from __future__ import annotations
 
 from ..lang.ast import BGP, Cond, Pred
 
+# LIKE escape character. Not ``\``: Spark unescapes backslashes inside
+# string literals, so ``ESCAPE '\'`` does not parse there.
+_ESC = "!"
+
 
 def _sql_quote(v: str) -> str:
-    return "'" + v.replace("'", "''") + "'"
+    """A string literal both engines read as ``v``. Spark unescapes
+    backslashes in literals and DuckDB does not, so each one is spelled
+    ``chr(92)``."""
+    parts = ["'" + p.replace("'", "''") + "'" for p in v.split("\\")]
+    if len(parts) == 1:
+        return parts[0]
+    return "(" + " || chr(92) || ".join(parts) + ")"
 
 
 def _like(value: str) -> str:
-    """Translate the paper's ~ patterns (* wildcard) to SQL LIKE."""
-    return _sql_quote(value.replace("%", r"\%").replace("*", "%"))
+    """Translate the paper's ~ patterns (``*`` is the only wildcard) to a
+    SQL LIKE pattern and its ESCAPE clause. The escape character itself
+    is escaped first, so the escapes added after it stay single."""
+    for ch in (_ESC, "%", "_"):
+        value = value.replace(ch, _ESC + ch)
+    return f"{_sql_quote(value.replace('*', '%'))} ESCAPE '{_ESC}'"
 
 
-def _node_cond_sql(alias: str, c: Cond) -> str:
-    if c.prop == "label":
-        col = f"{alias}.label"
-        if c.op == "~":
-            return f"{col} LIKE {_like(c.value)}"
-        return f"{col} {c.op} {_sql_quote(c.value)}"
-    if c.prop == "type":
-        if c.op == "~":
-            inner = f"t.type LIKE {_like(c.value)}"
-        else:
-            inner = f"t.type {c.op} {_sql_quote(c.value)}"
-        return (
-            f"EXISTS (SELECT 1 FROM types t WHERE t.id = {alias}.id AND {inner})"
-        )
-    raise ValueError(f"unsupported node property {c.prop!r}")
-
-
-def _edge_cond_sql(alias: str, c: Cond) -> str:
-    if c.prop != "label":
-        raise ValueError(f"unsupported edge property {c.prop!r}")
-    col = f"{alias}.label"
+def _cond_sql(col: str, c: Cond) -> str:
     if c.op == "~":
         return f"{col} LIKE {_like(c.value)}"
     return f"{col} {c.op} {_sql_quote(c.value)}"
 
 
+def _node_cond_sql(node_id: str, c: Cond) -> str:
+    """A condition on the node whose id is the column ``node_id``, as a
+    semi-join on ``types`` or ``nodes``."""
+    if c.prop == "label":
+        table, alias, col = "nodes", "n", "n.label"
+    elif c.prop == "type":
+        table, alias, col = "types", "t", "t.type"
+    else:
+        raise ValueError(f"unsupported node property {c.prop!r}")
+    return (
+        f"EXISTS (SELECT 1 FROM {table} {alias} "
+        f"WHERE {alias}.id = {node_id} AND {_cond_sql(col, c)})"
+    )
+
+
+def _edge_cond_sql(alias: str, c: Cond) -> str:
+    if c.prop != "label":
+        raise ValueError(f"unsupported edge property {c.prop!r}")
+    return _cond_sql(f"{alias}.label", c)
+
+
+def pred_sql(pred: Pred) -> str:
+    """SQL for the ids of the nodes satisfying ``pred``: one scan of
+    ``nodes``, label conditions tested in place, type conditions as
+    semi-joins on ``types``."""
+    conds = [
+        _cond_sql("n.label", c) if c.prop == "label" else _node_cond_sql("n.id", c)
+        for c in pred.conds
+    ]
+    return "SELECT n.id FROM nodes n" + (
+        " WHERE " + " AND ".join(conds) if conds else ""
+    )
+
+
 def to_sql(bgp: BGP, project: list[str] | None = None) -> str:
     """Compile a BGP to SQL projecting ``project`` (default: all variables,
-    node variables as node ids, edge variables as edge ids)."""
-    node_vars: list[str] = bgp.node_vars()
-    edge_vars: list[str] = []
+    node variables as node ids, edge variables as edge ids).
+
+    Only ``edges`` is scanned. A node variable binds to the first
+    edge-endpoint column it appears in (``e_0.src``); each later
+    occurrence adds an equality (``e_1.src = e_0.src``). This relies on
+    the invariant of ``LocalGraph.to_spark``: every edge endpoint is in
+    ``nodes`` exactly once (``nodes`` holds the unique ids of adjacency,
+    labels and types), so a join of an endpoint with ``nodes`` neither
+    drops nor multiplies rows and is left out.
+    """
+    e_alias: dict[str, str] = {}
     for p in bgp.patterns:
-        if p.e.var not in edge_vars:
-            edge_vars.append(p.e.var)
-
-    n_alias = {v: f"n_{i}" for i, v in enumerate(node_vars)}
-    e_alias = {v: f"e_{i}" for i, v in enumerate(edge_vars)}
-
-    from_parts = [f"edges {e_alias[v]}" for v in edge_vars]
-    from_parts += [f"nodes {n_alias[v]}" for v in node_vars]
-
+        e_alias.setdefault(p.e.var, f"e_{len(e_alias)}")
+    node_col: dict[str, str] = {}
     where: list[str] = []
-    seen_preds: set[tuple[str, Cond]] = set()
 
-    def add_pred(alias: str, pred: Pred, is_edge: bool) -> None:
-        for c in pred.conds:
-            key = (alias, c)
-            if key in seen_preds:
-                continue
-            seen_preds.add(key)
-            where.append(
-                _edge_cond_sql(alias, c) if is_edge else _node_cond_sql(alias, c)
-            )
+    def add(clause: str) -> None:
+        if clause not in where:
+            where.append(clause)
 
     for p in bgp.patterns:
         ea = e_alias[p.e.var]
-        where.append(f"{ea}.src = {n_alias[p.s.var]}.id")
-        where.append(f"{ea}.dst = {n_alias[p.d.var]}.id")
-        add_pred(ea, p.e, is_edge=True)
-        add_pred(n_alias[p.s.var], p.s, is_edge=False)
-        add_pred(n_alias[p.d.var], p.d, is_edge=False)
+        for c in p.e.conds:
+            add(_edge_cond_sql(ea, c))
+        for end, pred in (("src", p.s), ("dst", p.d)):
+            col = f"{ea}.{end}"
+            bound = node_col.setdefault(pred.var, col)
+            if bound != col:
+                add(f"{col} = {bound}")
+            for c in pred.conds:
+                add(_node_cond_sql(bound, c))
 
     if project is None:
-        project = node_vars + edge_vars
+        project = list(node_col) + list(e_alias)
     sel = []
     for v in project:
-        if v in n_alias:
-            sel.append(f"{n_alias[v]}.id AS {v}")
+        if v in node_col:
+            sel.append(f"{node_col[v]} AS {v}")
         elif v in e_alias:
             sel.append(f"{e_alias[v]}.id AS {v}")
         else:
             raise ValueError(f"unknown variable {v!r} in projection")
     return (
         "SELECT " + ", ".join(sel)
-        + " FROM " + ", ".join(from_parts)
+        + " FROM " + ", ".join(f"edges {a}" for a in e_alias.values())
         + (" WHERE " + " AND ".join(where) if where else "")
     )

@@ -37,7 +37,7 @@ from ..core.filters import CTPFilters
 from ..core.tree import ResultTree
 from ..graph.model import LocalGraph
 from ..lang.ast import CTP, CTPFilterSpec, Pred, Query
-from .bgp import _node_cond_sql, to_sql
+from .bgp import pred_sql, to_sql
 
 SCORE_REGISTRY = {
     "size": scoring.size_score,
@@ -94,11 +94,7 @@ class EQLEngine:
     # ---- step (B1): seed sets -------------------------------------------
     def _pred_nodes(self, pred: Pred) -> list[int]:
         """Nodes satisfying a predicate, via Spark over nodes/types."""
-        conds = [_node_cond_sql("n", c) for c in pred.conds]
-        sql = "SELECT n.id FROM nodes n"
-        if conds:
-            sql += " WHERE " + " AND ".join(conds)
-        return [int(r["id"]) for r in self.spark.sql(sql).collect()]
+        return [int(r["id"]) for r in self.spark.sql(pred_sql(pred)).collect()]
 
     def _seed_set(self, pred: Pred, bound: list[pd.DataFrame]):
         for pdf in bound:
@@ -209,7 +205,7 @@ class EQLEngine:
                 )
             else:
                 kwargs = {}
-                if algo in ("GAM", "ESP", "MoESP", "LESP", "MoLESP"):
+                if algo in core.PRESETS:
                     kwargs["multi_queue"] = multi_queue
                 outcome = algo_fn(self.graph, seed_sets, filters=filters, **kwargs)
                 results = outcome.results

@@ -79,6 +79,21 @@ def test_to_pandas_tables(tiny):
     assert set(pdfs["types"]["type"]) == {"t1", "t2"}
 
 
+def test_every_edge_endpoint_is_one_node_row():
+    """The BGP compiler binds node variables to edge endpoints and never
+    joins them with ``nodes``; that needs each endpoint in ``nodes`` once."""
+    g = LocalGraph(
+        [Edge(0, 1, "a", 2), Edge(1, 2, "b", 3), Edge(2, 3, "a", 3),
+         Edge(3, 1, "a", 2)],
+        node_labels={2: "two", 4: "isolated"},
+        node_types={3: {"t1", "t2"}, 5: {"t1"}},
+    )
+    ids = g.to_pandas()["nodes"]["id"].tolist()
+    assert sorted(ids) == [1, 2, 3, 4, 5]
+    for e in g.edges.values():
+        assert ids.count(e.src) == ids.count(e.dst) == 1
+
+
 def test_spark_round_trip(spark, tiny):
     dfs = tiny.to_spark(spark)
     back = from_spark(dfs["edges"], dfs["nodes"], dfs["types"])
