@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..graph.model import LocalGraph
-from .engine import SearchConfig, SearchOutcome, SearchStats, _Stop, is_all_nodes
+from .engine import SearchOutcome, SearchStats, _Stop, is_all_nodes
 from .filters import CTPFilters
 from .tree import ResultTree
 
@@ -272,6 +272,4 @@ class BFTSearch:
             exhausted,
             self._timed_out,
             self._limit_hit,
-            SearchConfig(),
-            self.f,
         )

@@ -51,8 +51,7 @@ ALL_NODES = "ALL_NODES"
 
 
 def is_all_nodes(seed_set) -> bool:
-    """Sentinel check by *equality*: the sentinel must survive pickling to
-    Spark executors, where identity (`is`) would not hold."""
+    """True iff ``seed_set`` is the N (all-nodes) sentinel."""
     return isinstance(seed_set, str) and seed_set == ALL_NODES
 
 
@@ -88,8 +87,6 @@ class SearchOutcome:
     exhausted: bool
     timed_out: bool
     limit_hit: bool
-    config: SearchConfig
-    filters: CTPFilters
 
     @property
     def completed(self) -> bool:
@@ -488,6 +485,4 @@ class RootedSearch:
             exhausted,
             self._timed_out,
             self._limit_hit,
-            self.cfg,
-            self.f,
         )

@@ -15,10 +15,6 @@ Steps, following the paper exactly:
 (C) the CTP result tables and the driver copies of the BGP tables, both
     handed back to Spark through Arrow, are natural-joined on shared
     variables and projected on the head. Nothing is cached.
-
-CTP evaluation runs either on the driver (``ctp_mode="local"``, the
-paper's own setting) or fanned out over Spark by seed-set chunks
-(``ctp_mode="distributed"``, see ``repro.core.distributed``).
 """
 from __future__ import annotations
 
@@ -69,12 +65,9 @@ def filters_from_spec(
 
 @dataclass
 class EQLReport:
-    """Evaluation artifacts: the per-step tables and CTP search stats.
+    """Evaluation artifacts: per CTP its table, seed sets and search
+    outcome, plus the lazy result of step (C)."""
 
-    ``bgp_tables`` are the BGPs' full SQL DataFrames, uncached: reading
-    one runs its SQL again."""
-
-    bgp_tables: list[DataFrame] = field(default_factory=list)
     ctp_tables: list[DataFrame] = field(default_factory=list)
     seed_sets: list[list] = field(default_factory=list)
     ctp_outcomes: list = field(default_factory=list)
@@ -159,8 +152,6 @@ class EQLEngine:
         *,
         algo: str = "MoLESP",
         default_filters: CTPFilters = CTPFilters(),
-        ctp_mode: str = "local",
-        n_chunks: int = 8,
         multi_queue: bool = False,
     ) -> EQLReport:
         report = EQLReport()
@@ -181,7 +172,6 @@ class EQLEngine:
         guard_empty = False
         for b in query.bgps:
             df = self.spark.sql(to_sql(b))
-            report.bgp_tables.append(df)
             keep = [c for c in df.columns if c in needed]
             if keep:
                 bound.append(df.select(*keep).toPandas().drop_duplicates())
@@ -196,22 +186,14 @@ class EQLEngine:
             seed_sets = [self._seed_set(p, bound) for p in ctp.preds]
             report.seed_sets.append(seed_sets)
             filters = filters_from_spec(ctp.filters, default_filters)
-            if ctp_mode == "distributed":
-                from ..core.distributed import distributed_ctp
-
-                results, outcome = distributed_ctp(
-                    self.spark, self.graph, seed_sets, algo,
-                    filters=filters, n_chunks=n_chunks,
-                )
-            else:
-                kwargs = {}
-                if algo in core.PRESETS:
-                    kwargs["multi_queue"] = multi_queue
-                outcome = algo_fn(self.graph, seed_sets, filters=filters, **kwargs)
-                results = outcome.results
+            outcome = algo_fn(
+                self.graph, seed_sets, filters=filters, multi_queue=multi_queue
+            )
             report.ctp_outcomes.append(outcome)
             report.ctp_tables.append(
-                self._ctp_table(ctp, seed_sets, results, filters.score is not None)
+                self._ctp_table(
+                    ctp, seed_sets, outcome.results, filters.score is not None
+                )
             )
 
         # (C) natural join + head projection.

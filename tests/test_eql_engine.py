@@ -269,18 +269,6 @@ def test_cdf_m3_join_matches_duckdb(spark, uni):
     _assert_join_matches_duckdb(b.graph, q, rep)
 
 
-def test_distributed_ctp_mode_matches_local(spark):
-    b = gen.cdf(2, n_t=3, n_l=6, s_l=3, seed=4)
-    eng = EQLEngine(spark, b.graph)
-    loc = eng.evaluate(parse(CDF_Q2), ctp_mode="local")
-    dst = eng.evaluate(parse(CDF_Q2), ctp_mode="distributed", n_chunks=4)
-    as_set = lambda rep: {
-        (r["tl"], r["bl"], r["w" if "w" in rep.result.columns else "l"])
-        for r in rep.result.collect()
-    }
-    assert as_set(loc) == as_set(dst)
-
-
 def test_multi_queue_mode_same_results(fig1_engine):
     a = fig1_engine.evaluate(parse(Q1))
     b = fig1_engine.evaluate(parse(Q1), multi_queue=True)

@@ -92,6 +92,17 @@ def test_molesp_sound_m4plus():
         assert keys(molesp(g, ss)) <= expect
 
 
+def test_molesp_two_seeds_of_one_set_on_a_path():
+    """Minimality (ii): on A - B - C with seed sets {A, B} and {C}, the
+    A..C path holds two nodes of the first set, so only B - C is a result."""
+    b = gen.line(3, 0)
+    a, bb, c = (s[0] for s in b.seed_sets)
+    ss = [[a, bb], [c]]
+    out = keys(molesp(b.graph, ss))
+    assert out == keys(enumerate_results(b.graph, ss))
+    assert out and all(len(e) <= 1 for e, _ in out)
+
+
 def test_molesp_may_miss_non_property9_m4():
     """fig6's result is 4-simple but not a rooted merge: no guarantee, and
     some orders do miss it (faithful to the paper's scoping)."""
