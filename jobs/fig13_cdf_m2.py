@@ -4,16 +4,18 @@ Usage: python jobs/fig13_cdf_m2.py [--full]
 """
 import argparse
 
-from _session import get_spark
 from repro.experiments.cdf_eql import run
 from repro.experiments.common import fmt_table
+from repro.spark import start_spark
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--full", action="store_true")
     args = ap.parse_args()
-    spark = get_spark("fig13-cdf-m2")
+    spark = start_spark(
+        "fig13-cdf-m2", driver_memory="8g", shuffle_partitions=16, log_level="ERROR"
+    )
     print(fmt_table(run(spark, m=2, full=args.full)))
     spark.stop()
 

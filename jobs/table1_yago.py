@@ -5,17 +5,19 @@ Usage: python jobs/table1_yago.py [--scale S]
 """
 import argparse
 
-from _session import get_spark
 from repro.experiments.common import fmt_table
-from repro.experiments.table1_yago import run_with_session
+from repro.experiments.table1_yago import run
+from repro.spark import start_spark
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--scale", type=float, default=0.25)
     args = ap.parse_args()
-    spark = get_spark("table1-yago")
-    print(fmt_table(run_with_session(spark, scale=args.scale)))
+    spark = start_spark(
+        "table1-yago", driver_memory="8g", shuffle_partitions=16, log_level="ERROR"
+    )
+    print(fmt_table(run(spark, scale=args.scale)))
     spark.stop()
 
 

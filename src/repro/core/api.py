@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..graph.model import LocalGraph
-from .bft import BFTConfig, BFTSearch
+from .bft import BFTSearch
 from .engine import ALL_NODES, RootedSearch, SearchConfig, SearchOutcome
 from .filters import CTPFilters
 
@@ -16,17 +16,17 @@ __all__ = [
 
 def bft(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
     """§4.1 breadth-first baseline (complete; minimizes results)."""
-    return BFTSearch(g, seed_sets, BFTConfig("none"), filters).run()
+    return BFTSearch(g, seed_sets, "none", filters).run()
 
 
 def bft_m(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
     """§4.3 BFT with single-level Merge."""
-    return BFTSearch(g, seed_sets, BFTConfig("once"), filters).run()
+    return BFTSearch(g, seed_sets, "once", filters).run()
 
 
 def bft_am(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
     """§4.3 BFT with aggressive Merge."""
-    return BFTSearch(g, seed_sets, BFTConfig("aggressive"), filters).run()
+    return BFTSearch(g, seed_sets, "aggressive", filters).run()
 
 
 # The §4 rooted algorithms are one engine under these SearchConfig presets.
@@ -43,9 +43,8 @@ def _rooted(name: str, doc: str):
     preset = PRESETS[name]
 
     def run(g: LocalGraph, seed_sets: list, filters: CTPFilters = CTPFilters(), *,
-            rng_seed=None, multi_queue=False, priority="size") -> SearchOutcome:
-        cfg = replace(preset, rng_seed=rng_seed, multi_queue=multi_queue,
-                      priority=priority)
+            rng_seed=None, multi_queue=False) -> SearchOutcome:
+        cfg = replace(preset, rng_seed=rng_seed, multi_queue=multi_queue)
         return RootedSearch(g, seed_sets, cfg, filters).run()
 
     run.__name__ = run.__qualname__ = name.lower()

@@ -20,31 +20,35 @@ Implements Algorithms 1-5 of §4 with the variant switches factored into
 matches them, and every tree satisfying all concrete sets is a result.
 
 Exploration order: smallest-tree-first priority (the paper's §5.4 setting)
-with FIFO tie-breaks by default; ``rng_seed`` randomizes tie-breaks, which
-the tests use to exercise "bad" execution orders for the incompleteness
-counter-examples (the paper's completeness claims are order-independent,
-and are tested as such).
+with FIFO tie-breaks by default. ``rng_seed`` replaces it with a seeded
+arbitrary order, which the tests use to exercise "bad" execution orders
+for the incompleteness counter-examples (the paper's completeness claims
+are order-independent, and are tested as such).
 
 Grow queue: a Grow candidate is a (tree, edge) pair. A registered tree's
-candidates are computed once, when it is queued. Under FIFO ties they
-would pop as one contiguous block, so the tree takes one heap entry whose
-candidate list is consumed in place: a tree rooted at a hub costs one heap
-push, not one per incident edge, so a LIMIT search that stops early pays
-no heap push for the edges it never pops. Under random ties every
-candidate draws its own key and takes its own entry. The multi-queue rule
-counts pending candidates, not heap entries.
+candidates are computed once, when it is queued. In the default order
+they would pop as one contiguous block, so the tree takes one heap entry
+whose candidate list is consumed in place: a tree rooted at a hub costs
+one heap push, not one per incident edge, so a LIMIT search that stops
+early pays no heap push for the edges it never pops. Under ``rng_seed``
+every candidate draws its own key and takes its own entry. The
+multi-queue rule counts pending candidates, not heap entries.
+
+:class:`CTPSearch` holds what every §4 algorithm shares, the BFT
+baselines of :mod:`.bft` included: the seed bitmask, the budget, result
+reporting and the outcome.
 """
 from __future__ import annotations
 
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from random import Random
 
 from ..graph.model import Adj, LocalGraph
 from .filters import CTPFilters
-from .tree import ResultTree, RTree
+from .tree import ResultTree, RTree, uni_root
 
 ALL_NODES = "ALL_NODES"
 """Sentinel for an N (all-nodes) seed set — §4.9(i)."""
@@ -61,11 +65,10 @@ class SearchConfig:
     mo: bool = False
     lesp: bool = False
     multi_queue: bool = False
+    # None: smallest tree first, FIFO ties (the paper's §5.4 setting).
+    # An int: a seeded arbitrary order, which tests use to probe
+    # order-dependent incompleteness that smallest-first can mask.
     rng_seed: int | None = None
-    # Queue priority: "size" (smallest tree first — the paper's §5.4
-    # setting) or "random" (fully arbitrary order; used by tests to probe
-    # order-dependent incompleteness, which smallest-first can mask).
-    priority: str = "size"
 
 
 @dataclass
@@ -102,26 +105,25 @@ class _Stop(Exception):
         self.timed_out = timed_out
 
 
-class RootedSearch:
-    """One CTP evaluation ``g(S_1..S_m, F)`` on an in-memory graph."""
+class CTPSearch:
+    """One CTP evaluation ``g(S_1..S_m, F)`` on an in-memory graph: what
+    every §4 algorithm shares. The filters are pushed into the search the
+    same way for each (§4.8): the budget is checked by :meth:`_check_budget`,
+    results go through :meth:`_report` (dedup, SCORE, LIMIT), and
+    :meth:`run` orders them and applies TOP k. A subclass implements
+    :meth:`_search`: INIT and its main loop."""
 
     def __init__(
-        self,
-        graph: LocalGraph,
-        seed_sets: list,
-        config: SearchConfig = SearchConfig(),
-        filters: CTPFilters = CTPFilters(),
+        self, graph: LocalGraph, seed_sets: list, filters: CTPFilters
     ) -> None:
         if not seed_sets:
             raise ValueError("CTP needs at least one seed set")
         self.g = graph
-        self.cfg = config
         self.f = filters
         self.seed_sets = seed_sets
         self.concrete: list[int] = [
             i for i, s in enumerate(seed_sets) if not is_all_nodes(s)
         ]
-        self.has_n_sets = len(self.concrete) < len(seed_sets)
         if not self.concrete:
             raise ValueError("at least one seed set must be concrete (§4.9)")
         # Bit i of node_sets[n] set iff n belongs to concrete seed set i.
@@ -134,6 +136,71 @@ class RootedSearch:
             self.full_mask |= 1 << i
             for n in nodes:
                 self.node_sets[n] = self.node_sets.get(n, 0) | (1 << i)
+        self.results: dict = {}
+        self.stats = SearchStats()
+        self._deadline: float | None = None
+
+    def _seed_pairs(self, n: int, bits: int) -> frozenset[tuple[int, int]]:
+        """The (seed set, node) bindings of node ``n`` whose sets are ``bits``."""
+        return frozenset(
+            (i, n) for i in range(len(self.seed_sets)) if bits >> i & 1
+        )
+
+    def _check_budget(self) -> None:
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise _Stop(timed_out=True)
+        if self.f.max_built is not None and self.stats.built >= self.f.max_built:
+            raise _Stop(timed_out=True)
+
+    def _report(self, rt: ResultTree) -> None:
+        key = rt.key()
+        if key in self.results:
+            return
+        if self.f.score is not None:
+            rt = replace(rt, score=self.f.score(rt, self.g))
+        self.results[key] = rt
+        self.stats.results_found += 1
+        if self.f.limit is not None and len(self.results) >= self.f.limit:
+            raise _Stop(timed_out=False)
+
+    def _search(self) -> None:
+        """INIT and the main loop; returns when the queue is exhausted."""
+        raise NotImplementedError
+
+    def run(self) -> SearchOutcome:
+        t0 = time.monotonic()
+        if self.f.timeout_s is not None:
+            self._deadline = t0 + self.f.timeout_s
+        exhausted = timed_out = limit_hit = False
+        try:
+            self._search()
+            exhausted = True
+        except _Stop as s:
+            timed_out, limit_hit = s.timed_out, not s.timed_out
+        self.stats.elapsed_s = time.monotonic() - t0
+        results = sorted(
+            self.results.values(), key=lambda r: (r.size, sorted(r.edges))
+        )
+        if self.f.top_k is not None:
+            results = sorted(
+                results, key=lambda r: (-r.score, r.size, sorted(r.edges))
+            )[: self.f.top_k]
+        return SearchOutcome(results, self.stats, exhausted, timed_out, limit_hit)
+
+
+class RootedSearch(CTPSearch):
+    """GAM and the ESP family: Algorithms 1-5 under one :class:`SearchConfig`."""
+
+    def __init__(
+        self,
+        graph: LocalGraph,
+        seed_sets: list,
+        config: SearchConfig = SearchConfig(),
+        filters: CTPFilters = CTPFilters(),
+    ) -> None:
+        super().__init__(graph, seed_sets, filters)
+        self.cfg = config
+        self.has_n_sets = len(self.concrete) < len(seed_sets)
         # State shared by Algorithms 1-5.
         self.hist: set[frozenset[int]] = set()              # ESP history
         self.rooted_hist: set[tuple[frozenset[int], int]] = set()  # GAM history
@@ -145,26 +212,10 @@ class RootedSearch:
         self.pending: dict[int, int] = {}     # multi-queue: sat -> candidates left
         self.n_queued = 0
         self.adj_cache: dict[int, tuple[Adj, ...]] = {}      # see _grow_adj
-        self.results: dict = {}
-        self.stats = SearchStats()
         self._seq = 0
-        if config.rng_seed is not None:
-            self._rng = Random(config.rng_seed)
-        elif config.priority == "random":
-            self._rng = Random(0)
-        else:
-            self._rng = None
-        self._deadline: float | None = None
-        self._timed_out = False
-        self._limit_hit = False
+        self._rng = None if config.rng_seed is None else Random(config.rng_seed)
 
     # ---- small helpers ---------------------------------------------------
-    def _check_budget(self) -> None:
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise _Stop(timed_out=True)
-        if self.f.max_built is not None and self.stats.built >= self.f.max_built:
-            raise _Stop(timed_out=True)
-
     def _grow_adj(self, n: int) -> tuple[Adj, ...]:
         """Edges Grow may traverse from a tree rooted at ``n``. LABEL and
         UNI depend on the node only, so each adjacency is filtered once."""
@@ -216,20 +267,6 @@ class RootedSearch:
                     return True
         return False
 
-    def _report(self, t: RTree) -> None:
-        rt = ResultTree(t.edges, t.nodes, t.seeds)
-        key = rt.key()
-        if key in self.results:
-            return
-        if self.f.score is not None:
-            from dataclasses import replace
-
-            rt = replace(rt, score=self.f.score(rt, self.g))
-        self.results[key] = rt
-        self.stats.results_found += 1
-        if self.f.limit is not None and len(self.results) >= self.f.limit:
-            raise _Stop(timed_out=False)
-
     # ---- registration (ProcessTree lines 2-15) ---------------------------
     def _register(self, t: RTree) -> bool:
         """Record a surviving tree; returns True iff it was a result (results
@@ -240,7 +277,7 @@ class RootedSearch:
             self.rooted_hist.add((t.edges, t.root))
         self.stats.kept += 1
         if self._is_result(t):
-            self._report(t)
+            self._report(ResultTree(t.edges, t.nodes, t.seeds))
             # With only concrete seed sets a result cannot extend into
             # another result (Grow2 blocks every remaining seed), so the
             # search drops it. With N sets every supertree is a further
@@ -269,7 +306,7 @@ class RootedSearch:
                 continue
             if t.edges in self.rooted_edge_sets.get(n, ()):
                 continue
-            if self.f.uni and not self._rooted_at(t, n):
+            if self.f.uni and uni_root(t.edges, self.g) != n:
                 # §4.8: UNI is enforced as a pre-condition on provenance
                 # creation — a re-rooted copy must stay root-directed
                 # (Grow/Merge preserve this invariant on their own).
@@ -277,27 +314,18 @@ class RootedSearch:
             out.append(RTree(t.edges, t.nodes, n, t.sat, t.seeds, False, True))
         return out
 
-    def _rooted_at(self, t: RTree, n: int) -> bool:
-        """True iff every edge of ``t`` points away from ``n`` along the
-        tree (n has tree-in-degree 0, every other node exactly 1)."""
-        indeg: dict[int, int] = {}
-        for e in t.edges:
-            _, d = self.g.edge_endpoints(e)
-            indeg[d] = indeg.get(d, 0) + 1
-        if indeg.get(n, 0):
-            return False
-        return all(indeg.get(v, 0) == 1 for v in t.nodes if v != n)
-
     # ---- Grow ------------------------------------------------------------
     def _push_grows(self, t: RTree) -> None:
         """Queue the Grow candidates of ``t``: one heap entry for the whole
-        tree under FIFO ties, one per candidate under random ties.
+        tree in the default order, one per candidate under ``rng_seed``.
 
         An entry is ``(prio, tie, seq, tree, candidates)``, the candidates
         reversed so that ``pop()`` hands them out in adjacency order. The
-        unique ``seq`` keeps heap comparisons away from the tree. Under
-        FIFO ties the tie is ``seq`` itself: a tree's candidates would get
-        consecutive keys, so they pop as one block either way.
+        unique ``seq`` keeps heap comparisons away from the tree. In the
+        default order the priority is the new tree's size and the tie is
+        ``seq`` itself: a tree's candidates would get consecutive keys, so
+        they pop as one block either way. Under ``rng_seed`` both the
+        priority and the tie are random draws.
         """
         if self.f.max_edges is not None and t.size >= self.f.max_edges:
             return  # MAX
@@ -318,16 +346,14 @@ class RootedSearch:
         if self.cfg.multi_queue:
             self.pending[qkey] = self.pending.get(qkey, 0) + len(cands)
         self.n_queued += len(cands)
-        prio = t.size + 1
         if self._rng is None:
             self._seq += 1
-            heapq.heappush(heap, (prio, self._seq, self._seq, t, cands))
+            heapq.heappush(heap, (t.size + 1, self._seq, self._seq, t, cands))
             return
+        rand = self._rng.random
         for a in reversed(cands):
-            if self.cfg.priority == "random":
-                prio = self._rng.random()
             self._seq += 1
-            heapq.heappush(heap, (prio, self._rng.random(), self._seq, t, [a]))
+            heapq.heappush(heap, (rand(), rand(), self._seq, t, [a]))
 
     def _pop(self) -> tuple[RTree, Adj]:
         if self.cfg.multi_queue:
@@ -429,60 +455,23 @@ class RootedSearch:
                     work.append(mc)
 
     # ---- Algorithm 1 main loop ------------------------------------------
-    def run(self) -> SearchOutcome:
-        t0 = time.monotonic()
-        if self.f.timeout_s is not None:
-            self._deadline = t0 + self.f.timeout_s
-        exhausted = False
-        try:
-            inited: set[int] = set()
-            for i in self.concrete:
-                for n in sorted(set(self.seed_sets[i])):
-                    if n in inited:
-                        continue
-                    inited.add(n)
-                    bits = self.node_sets[n]
-                    t = RTree(
-                        frozenset(),
-                        frozenset((n,)),
-                        n,
-                        bits,
-                        frozenset(
-                            (j, n)
-                            for j in range(len(self.seed_sets))
-                            if bits >> j & 1
-                        ),
-                        True,
-                        False,
-                    )
-                    self.ss[n] = self.ss.get(n, 0) | bits
-                    self._integrate(t, gained=False)
-            while self.n_queued:
-                self._check_budget()
-                t, a = self._pop()
-                self.stats.grows += 1
-                t2 = self._grow(t, a)
-                if t2.is_seed_path:
-                    self.ss[t2.root] = self.ss.get(t2.root, 0) | t2.sat
-                self._integrate(t2, gained=self.node_sets.get(a.other, 0) != 0)
-            exhausted = True
-        except _Stop as s:
-            if s.timed_out:
-                self._timed_out = True
-            else:
-                self._limit_hit = True
-        self.stats.elapsed_s = time.monotonic() - t0
-        results = sorted(
-            self.results.values(), key=lambda r: (r.size, sorted(r.edges))
-        )
-        if self.f.top_k is not None and self.f.score is not None:
-            results = sorted(
-                results, key=lambda r: (-(r.score or 0.0), r.size, sorted(r.edges))
-            )[: self.f.top_k]
-        return SearchOutcome(
-            results,
-            self.stats,
-            exhausted,
-            self._timed_out,
-            self._limit_hit,
-        )
+    def _search(self) -> None:
+        inited: set[int] = set()
+        for i in self.concrete:
+            for n in sorted(set(self.seed_sets[i])):
+                if n in inited:
+                    continue
+                inited.add(n)
+                bits = self.node_sets[n]
+                t = RTree(frozenset(), frozenset((n,)), n, bits,
+                          self._seed_pairs(n, bits), True, False)
+                self.ss[n] = self.ss.get(n, 0) | bits
+                self._integrate(t, gained=False)
+        while self.n_queued:
+            self._check_budget()
+            t, a = self._pop()
+            self.stats.grows += 1
+            t2 = self._grow(t, a)
+            if t2.is_seed_path:
+                self.ss[t2.root] = self.ss.get(t2.root, 0) | t2.sat
+            self._integrate(t2, gained=self.node_sets.get(a.other, 0) != 0)

@@ -5,7 +5,7 @@ implementation-level deterministic budget (a step counter standing in for
 wall-clock timeouts in tests, where timing would be flaky)."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,7 +24,7 @@ class CTPFilters:
     max_edges  MAX n — trees of at most n edges
     limit      stop the search after this many results (LIMIT)
     score      SCORE sigma — scores attached to every result
-    top_k      TOP k — keep only the k best-scoring results
+    top_k      TOP k — keep only the k best-scoring results (needs score)
     timeout_s  per-CTP wall-clock timeout T
     max_built  deterministic budget on provenances built (testing aid)
     """
@@ -38,9 +38,12 @@ class CTPFilters:
     timeout_s: float | None = None
     max_built: int | None = None
 
-    def with_(self, **kw) -> "CTPFilters":
-        from dataclasses import replace
+    def __post_init__(self) -> None:
+        # The grammar is SCORE sigma [TOP k]: TOP ranks by the score.
+        if self.top_k is not None and self.score is None:
+            raise ValueError("TOP k needs a SCORE function")
 
+    def with_(self, **kw) -> "CTPFilters":
         if "labels" in kw and kw["labels"] is not None:
             kw["labels"] = frozenset(kw["labels"])
         return replace(self, **kw)

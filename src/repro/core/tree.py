@@ -8,6 +8,10 @@ reporting (Def. 2.8 tuples)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..graph.model import LocalGraph
 
 
 class RTree:
@@ -78,3 +82,20 @@ class ResultTree:
             if i == set_idx:
                 return n
         raise KeyError(set_idx)
+
+
+def uni_root(edges: frozenset[int], g: "LocalGraph") -> int | None:
+    """The root of a root-directed tree (UNI): the one node of tree-in-degree
+    0 when every other node has in-degree 1, so that directed paths lead
+    from it to every leaf. None for a tree that is not root-directed and
+    for the edgeless tree, whose root is its one node."""
+    dsts: set[int] = set()
+    srcs = []
+    for e in edges:
+        s, d = g.edge_endpoints(e)
+        if d in dsts:
+            return None
+        dsts.add(d)
+        srcs.append(s)
+    roots = {s for s in srcs if s not in dsts}
+    return roots.pop() if len(roots) == 1 else None

@@ -1,4 +1,4 @@
-"""Shared experiment harness: timing, timeout budgets, table emission.
+"""Table emission shared by the experiments.
 
 Every experiment module exposes ``run(...) -> pandas.DataFrame`` so the
 same code backs the ``jobs/`` entrypoints, the ``benchmarks/`` targets and
@@ -6,25 +6,9 @@ the EXPERIMENTS.md tables.
 """
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-
 import pandas as pd
-
-
-def timed(fn, *args, **kwargs):
-    t0 = time.monotonic()
-    out = fn(*args, **kwargs)
-    return out, time.monotonic() - t0
 
 
 def fmt_table(df: pd.DataFrame) -> str:
     """Markdown-ish fixed-width rendering for job stdout / EXPERIMENTS.md."""
     return df.to_string(index=False)
-
-
-@contextmanager
-def stage(name: str):
-    t0 = time.monotonic()
-    yield
-    print(f"[{name}] {time.monotonic() - t0:.2f}s", flush=True)

@@ -46,21 +46,7 @@ WHERE CTP(a{label="e0"}, n, *t) MAX 2 UNI LIMIT 500
 '''
 
 
-def run(*, scale: float = 0.25, timeout_s: float = 60.0) -> pd.DataFrame:
-    import os
-
-    os.environ.setdefault("SPARK_DRIVER_MEM", "8g")
-    from pyspark.sql import SparkSession
-
-    spark = SparkSession.getActiveSession()
-    if spark is None:
-        raise RuntimeError("run() needs an active SparkSession (use jobs/)")
-    return run_with_session(spark, scale=scale, timeout_s=timeout_s)
-
-
-def run_with_session(
-    spark, *, scale: float = 0.25, timeout_s: float = 60.0
-) -> pd.DataFrame:
+def run(spark, *, scale: float = 0.25, timeout_s: float = 60.0) -> pd.DataFrame:
     g = yago_lite(scale=scale, seed=11)
     eng = EQLEngine(spark, g)
     edges_df = eng.dfs["edges"].cache()

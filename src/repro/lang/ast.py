@@ -8,8 +8,8 @@ with ``*`` wildcards). The Def. 2.2 shorthand — a bare constant meaning
 """
 from __future__ import annotations
 
-import fnmatch
 import itertools
+import re
 from dataclasses import dataclass, field, replace
 
 _autovar = itertools.count()
@@ -17,6 +17,12 @@ _autovar = itertools.count()
 
 def _fresh() -> str:
     return f"_v{next(_autovar)}"
+
+
+def _like_regex(pattern: str) -> str:
+    """A ``~`` pattern as a regex: ``*`` matches any string, every other
+    character only itself (as SQL LIKE reads it in ``eql.bgp._like``)."""
+    return "(?s)" + ".*".join(re.escape(p) for p in pattern.split("*"))
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,7 @@ class Cond:
                 return True
             if self.op == "<=" and lhs <= self.value:
                 return True
-            if self.op == "~" and fnmatch.fnmatchcase(lhs, self.value):
+            if self.op == "~" and re.fullmatch(_like_regex(self.value), lhs):
                 return True
         return False
 

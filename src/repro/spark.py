@@ -1,0 +1,46 @@
+"""The local SparkSession bootstrap of the test suite and the ``jobs/``
+entry points; each caller passes its own settings."""
+from __future__ import annotations
+
+import os
+
+
+def start_spark(
+    app: str,
+    *,
+    driver_memory: str,
+    shuffle_partitions: int,
+    log_level: str | None = None,
+):
+    """Start (or get) the process's local SparkSession, Arrow on and
+    broadcast joins off (joins take the shuffle path at these scales).
+
+    ``SPARK_DRIVER_MEM``, ``SPARK_MASTER`` (default ``local[*]``) and
+    ``SPARK_SHUFFLE_PARTITIONS`` override the caller's values. The JVM reads
+    its heap size at launch, from ``PYSPARK_SUBMIT_ARGS``; one already set
+    in the environment is kept.
+    """
+    memory = os.environ.get("SPARK_DRIVER_MEM") or driver_memory
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {memory} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false "
+        "pyspark-shell",
+    )
+    from pyspark.sql import SparkSession
+
+    spark = (
+        SparkSession.builder.appName(app)
+        .config(
+            "spark.sql.shuffle.partitions",
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", str(shuffle_partitions)),
+        )
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+    if log_level is not None:
+        spark.sparkContext.setLogLevel(log_level)
+    return spark

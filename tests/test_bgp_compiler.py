@@ -135,12 +135,14 @@ def test_pred_sql_scans_nodes_once():
 
 # ---- ~ patterns ------------------------------------------------------------
 
-LIKE_LABELS = {1: "50%off", 3: "a_b", 4: "axb", 5: "c:\\dir", 6: "wow!", 7: "it's"}
+LIKE_LABELS = {1: "50%off", 3: "a_b", 4: "axb", 5: "c:\\dir", 6: "wow!", 7: "it's",
+               8: "a?c", 9: "abc", 10: "[ab]c", 11: "ac"}
 # pattern -> matching nodes (node 2 has no label, so it reads as "2")
 LIKE_CASES = {
     "50%*": [1], "a_b": [3], "a*b": [3, 4], "*%*": [1], "*_*": [3],
-    "*": [1, 2, 3, 4, 5, 6, 7], "c:\\*": [5], "*\\dir": [5], "*!": [6],
+    "*": list(range(1, 12)), "c:\\*": [5], "*\\dir": [5], "*!": [6],
     "!*": [], "it's": [7], "*'*": [7],
+    "a?c": [8], "*?*": [8], "[ab]c": [10], "[!a]*": [],
 }
 
 
@@ -148,15 +150,18 @@ LIKE_CASES = {
 def like_graph():
     return LocalGraph(
         [Edge(0, 1, "r", 3), Edge(1, 3, "r", 4), Edge(2, 4, "r", 1),
-         Edge(3, 5, "r", 6), Edge(4, 6, "r", 7), Edge(5, 2, "r", 7)],
+         Edge(3, 5, "r", 6), Edge(4, 6, "r", 7), Edge(5, 2, "r", 7),
+         Edge(6, 8, "r", 9), Edge(7, 9, "r", 10), Edge(8, 10, "r", 11),
+         Edge(9, 11, "r", 8)],
         node_labels=LIKE_LABELS,
     )
 
 
 @pytest.mark.parametrize("pattern,ids", LIKE_CASES.items())
 def test_like_agrees_with_cond_matches(spark, like_graph, pattern, ids):
-    """``*`` is the only wildcard: ``%``, ``_``, ``!``, ``\\`` and quotes
-    match themselves on Spark and on DuckDB, as in ``Cond.matches``."""
+    """``*`` is the only wildcard: ``%``, ``_``, ``?``, ``[…]``, ``!``,
+    ``\\`` and quotes match themselves on Spark, on DuckDB and in
+    ``Cond.matches``."""
     g = like_graph
     cond = Cond("label", "~", pattern)
     assert [n for n in sorted(g.nodes) if cond.matches(g.label(n), g.types(n))] == ids

@@ -116,13 +116,11 @@ def test_moesp_finds_all_path_results(order):
 def test_moesp_may_miss_3simple_under_some_order():
     """§4.5 Figure 5: the 3-simple result can be missed by MoESP under an
     arbitrary execution order (smallest-first provably avoids the bad
-    orders on this graph, hence priority="random")."""
+    orders on this graph)."""
     b = gen.fig5()
     missed = [
         o for o in range(60)
-        if not moesp(
-            b.graph, b.seed_sets, rng_seed=o, priority="random"
-        ).results
+        if not moesp(b.graph, b.seed_sets, rng_seed=o).results
     ]
     assert missed, "expected at least one order where MoESP misses fig5"
 

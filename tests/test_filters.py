@@ -6,9 +6,11 @@ from repro.core import bft, gam, molesp
 from repro.core.bruteforce import enumerate_results
 from repro.core.filters import CTPFilters
 from repro.core.scoring import label_diversity, size_score, specificity_score
+from repro.eql.engine import filters_from_spec
 from repro.graph import generators as gen
 from repro.graph.model import Edge, LocalGraph
 from repro.graph.random_graphs import random_graph
+from repro.lang import parse
 
 from tests.helpers import keys
 
@@ -85,10 +87,11 @@ def test_score_attached_to_results():
     assert all(r.score is not None for r in out.results)
 
 
-def test_top_k_keeps_best():
+@pytest.mark.parametrize("algo", ALGOS, ids=["gam", "molesp", "bft"])
+def test_top_k_keeps_best(algo):
     b = gen.figure1()
-    out_all = molesp(b.graph, b.seed_sets, filters=CTPFilters(score=size_score))
-    out_top = molesp(
+    out_all = algo(b.graph, b.seed_sets, filters=CTPFilters(score=size_score))
+    out_top = algo(
         b.graph, b.seed_sets, filters=CTPFilters(score=size_score, top_k=3)
     )
     assert len(out_top.results) == 3
@@ -112,17 +115,34 @@ def test_score_values():
     assert r.score == 1.0  # 2 distinct labels / 2 edges
 
 
-def test_timeout_flag_set():
+def test_top_k_needs_score():
+    """The grammar is SCORE sigma [TOP k]: TOP alone is rejected, in code
+    and in EQL, while a query TOP over a default SCORE stays valid."""
+    with pytest.raises(ValueError, match="SCORE"):
+        CTPFilters(top_k=1)
+    spec = parse('SELECT w WHERE CTP("A", "B", *w) TOP 1').ctps[0].filters
+    with pytest.raises(ValueError, match="SCORE"):
+        filters_from_spec(spec)
+    f = filters_from_spec(spec, CTPFilters(score=size_score))
+    assert f.top_k == 1 and f.score is size_score
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=["gam", "molesp", "bft"])
+def test_timeout_flag_set(algo):
     b = gen.star(10, 3)
-    out = molesp(b.graph, b.seed_sets, filters=CTPFilters(timeout_s=0.0))
+    out = algo(b.graph, b.seed_sets, filters=CTPFilters(timeout_s=0.0))
     assert out.timed_out and not out.completed
 
 
-def test_max_built_budget():
+@pytest.mark.parametrize("algo", ALGOS, ids=["gam", "molesp", "bft"])
+def test_max_built_budget(algo):
     b = gen.star(8, 2)
-    out = molesp(b.graph, b.seed_sets, filters=CTPFilters(max_built=100))
-    assert out.timed_out
-    assert out.stats.built <= 101
+    out = algo(b.graph, b.seed_sets, filters=CTPFilters(max_built=100))
+    assert out.timed_out and not out.completed
+    if algo is not bft:
+        # The rooted engines check the budget before each build; BFT
+        # checks it once per step and may overshoot by a step's builds.
+        assert out.stats.built <= 101
 
 
 def test_filters_with_copies():

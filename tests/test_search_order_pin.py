@@ -11,7 +11,7 @@ sorted result edge sets), one tuple per query.
 """
 import pytest
 
-from repro.core import esp, lesp, molesp, moesp
+from repro.core import esp, molesp, moesp
 from repro.core.filters import CTPFilters
 from repro.graph.random_graphs import dbpedia_lite, random_graph, sample_ctp_workload
 
@@ -63,14 +63,9 @@ def _label():
     return [moesp(g, ss, filters=CTPFilters(labels=frozenset({"l0", "l1"})))]
 
 
-def _rng_seed():
-    g, ss = _three_seeds(5)
-    return [lesp(g, ss, rng_seed=3, filters=CTPFilters(max_edges=5))]
-
-
 def _random_priority():
     g, ss = _three_seeds(6)
-    return [esp(g, ss, priority="random", filters=CTPFilters(limit=3))]
+    return [esp(g, ss, rng_seed=0, filters=CTPFilters(limit=3))]
 
 
 PINNED = {
@@ -99,12 +94,6 @@ PINNED = {
     ]),
     "label": (_label, [
         (47, 34, 13, 27, 48, 12, [[3, 4, 12, 13, 15], [4, 9, 15]]),
-    ]),
-    "rng_seed": (_rng_seed, [
-        (512, 428, 84, 382, 12093, 127,
-         [[0, 1, 6, 7, 11], [0, 1, 7, 11, 12], [1, 2, 7, 12, 14],
-          [1, 3, 5, 7, 12], [6, 7, 8, 11, 15], [7, 8, 11, 12, 15],
-          [7, 12, 13, 14, 15]]),
     ]),
     "random_priority": (_random_priority, [
         (59, 50, 9, 46, 115, 10,
