@@ -136,6 +136,7 @@ class BFTSearch(CTPSearch):
                 if merged.edges in self.memory:
                     continue
                 self.memory.add(merged.edges)
+                self._check_budget()
                 self.stats.built += 1
                 self.stats.merges_done += 1
                 out.append(merged)
@@ -164,6 +165,7 @@ class BFTSearch(CTPSearch):
                     if e2 in self.memory:
                         continue
                     self.memory.add(e2)
+                    self._check_budget()
                     self.stats.built += 1
                     self.stats.grows += 1
                     bits = self.node_sets.get(a.other, 0)
@@ -172,14 +174,12 @@ class BFTSearch(CTPSearch):
                         _UTree(e2, t.nodes | {a.other}, t.sat | bits, seeds)
                     )
             for t2 in grown:
-                self._check_budget()
                 self._accept(t2, True)
                 if self.merge == "none":
                     continue
                 work = deque(self._merges(t2))
                 while work:
                     m = work.popleft()
-                    self._check_budget()
                     if self.merge == "aggressive":
                         self._accept(m, True)
                         work.extend(self._merges(m))

@@ -12,7 +12,7 @@ which is how the oracle tests validate the compiler.
 """
 from __future__ import annotations
 
-from ..lang.ast import BGP, Cond, Pred
+from ..lang.ast import BGP, Cond
 
 # LIKE escape character. Not ``\``: Spark unescapes backslashes inside
 # string literals, so ``ESCAPE '\'`` does not parse there.
@@ -63,19 +63,6 @@ def _edge_cond_sql(alias: str, c: Cond) -> str:
     if c.prop != "label":
         raise ValueError(f"unsupported edge property {c.prop!r}")
     return _cond_sql(f"{alias}.label", c)
-
-
-def pred_sql(pred: Pred) -> str:
-    """SQL for the ids of the nodes satisfying ``pred``: one scan of
-    ``nodes``, label conditions tested in place, type conditions as
-    semi-joins on ``types``."""
-    conds = [
-        _cond_sql("n.label", c) if c.prop == "label" else _node_cond_sql("n.id", c)
-        for c in pred.conds
-    ]
-    return "SELECT n.id FROM nodes n" + (
-        " WHERE " + " AND ".join(conds) if conds else ""
-    )
 
 
 def to_sql(bgp: BGP, project: list[str] | None = None) -> str:

@@ -1,39 +1,36 @@
-"""EQL query evaluation (§3): BGPs on Catalyst, CTPs via §4 search, final
-natural join + head projection on Spark.
-
-Steps, following the paper exactly:
+"""EQL query evaluation (§3): Spark runs the BGPs, the driver the rest.
 
 (A) each BGP compiles to SQL and is evaluated by Spark — the "existing
     conjunctive graph query engine". Its SQL runs exactly once, as one
     Arrow collect of the columns the query needs (head ∪ CTP seed
     variables), de-duplicated on the driver. A BGP that binds none of
-    them is only tested for emptiness;
-(B) for each CTP, seed sets are derived (from those driver copies where
-    the variable is shared, from the node tables via the predicate
-    otherwise, or the N sentinel for a bare variable), then the chosen §4
-    algorithm runs with filters pushed;
-(C) the CTP result tables and the driver copies of the BGP tables, both
-    handed back to Spark through Arrow, are natural-joined on shared
-    variables and projected on the head. Nothing is cached.
+    them is only tested for emptiness. Spark runs nothing after this;
+(B) for each CTP, each seed set holds the nodes that satisfy its
+    predicate (``Pred.matches`` on the ``LocalGraph``) among those a BGP
+    binds to the variable, or among all nodes if none does; a bare
+    unbound variable is the N sentinel. Then the chosen §4 algorithm
+    runs with filters pushed;
+(C) the CTP tables and the BGP frames, pandas frames on the driver, are
+    natural-joined, projected on the head and de-duplicated. One
+    ``createDataFrame`` hands the answer to Spark. Nothing is cached.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from functools import reduce
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from .. import core
 from ..core import scoring
-from ..core.engine import ALL_NODES, is_all_nodes
+from ..core.engine import ALL_NODES, SearchOutcome, SearchStats, is_all_nodes
 from ..core.filters import CTPFilters
 from ..core.tree import ResultTree
 from ..graph.model import LocalGraph
 from ..lang.ast import CTP, CTPFilterSpec, Pred, Query
-from .bgp import pred_sql, to_sql
+from .bgp import to_sql
 
 SCORE_REGISTRY = {
     "size": scoring.size_score,
@@ -65,10 +62,12 @@ def filters_from_spec(
 
 @dataclass
 class EQLReport:
-    """Evaluation artifacts: per CTP its table, seed sets and search
-    outcome, plus the lazy result of step (C)."""
+    """Evaluation artifacts: per CTP its table (a pandas frame), seed sets
+    and search outcome, plus the answer of step (C). ``result`` is a Spark
+    DataFrame made from the driver-side answer; its schema is the same
+    whether or not it is empty."""
 
-    ctp_tables: list[DataFrame] = field(default_factory=list)
+    ctp_tables: list[pd.DataFrame] = field(default_factory=list)
     seed_sets: list[list] = field(default_factory=list)
     ctp_outcomes: list = field(default_factory=list)
     result: DataFrame | None = None
@@ -85,20 +84,20 @@ class EQLEngine:
             df.createOrReplaceTempView(name)
 
     # ---- step (B1): seed sets -------------------------------------------
-    def _pred_nodes(self, pred: Pred) -> list[int]:
-        """Nodes satisfying a predicate, via Spark over nodes/types."""
-        return [int(r["id"]) for r in self.spark.sql(pred_sql(pred)).collect()]
-
     def _seed_set(self, pred: Pred, bound: list[pd.DataFrame]):
-        for pdf in bound:
-            if pred.var in pdf.columns:
-                nodes = set(pdf[pred.var].tolist())
-                if not pred.is_empty:
-                    nodes &= set(self._pred_nodes(pred))
-                return sorted(nodes)
-        if pred.is_empty:
-            return ALL_NODES
-        return self._pred_nodes(pred)
+        """The sorted nodes that the BGP frames bind to ``pred.var`` (all
+        graph nodes if none binds it) and that satisfy ``pred``; the N
+        sentinel for a bare unbound variable."""
+        g = self.graph
+        nodes = next(
+            (set(pdf[pred.var].tolist()) for pdf in bound if pred.var in pdf.columns),
+            None,
+        )
+        if nodes is None:
+            if pred.is_empty:
+                return ALL_NODES
+            nodes = g.nodes
+        return sorted(n for n in nodes if pred.matches(g.label(n), g.types(n)))
 
     # ---- step (B2): CTP table -------------------------------------------
     def _ctp_table(
@@ -107,43 +106,27 @@ class EQLEngine:
         seed_sets: list,
         results: list[ResultTree],
         scored: bool,
-    ) -> DataFrame:
-        """Materialize set-based CTP results as a Spark table with one
-        column per seed variable, plus the tree variable columns."""
+    ) -> pd.DataFrame:
+        """Materialize set-based CTP results as a table with one column
+        per seed variable, plus the tree variable columns. The dtypes are
+        fixed, so an empty table joins like a full one."""
         w = ctp.tree_var
-        cols = [p.var for p in ctp.preds] + [w, f"{w}_size"] + (
-            [f"{w}_score"] if scored else []
-        )
+        dtypes = {p.var: "int64" for p in ctp.preds} | {w: str, f"{w}_size": "int64"}
+        if scored:
+            dtypes[f"{w}_score"] = "float64"
         rows = []
         for rt in results:
             tree_json = json.dumps(sorted(rt.edges))
             base = [tree_json, rt.size] + ([rt.score] if scored else [])
             # Concrete seed-set variables bind to the tuple's seed; an N
             # variable binds to each node of the tree (§4.9 / adjusted
-            # Def. 2.8: any node matches an N set).
-            bindings: list[list[int]] = []
-            for i, s in enumerate(seed_sets):
-                if is_all_nodes(s):
-                    bindings.append(sorted(rt.nodes))
-                else:
-                    bindings.append([rt.seed_of(i)])
-            # Cross product over N-variable bindings.
-            def expand(i: int, acc: list[int]):
-                if i == len(bindings):
-                    rows.append(acc + base)
-                    return
-                for n in bindings[i]:
-                    expand(i + 1, acc + [n])
-
-            expand(0, [])
-        schema = ", ".join(
-            [f"{p.var} long" for p in ctp.preds]
-            + [f"{w} string", f"{w}_size long"]
-            + ([f"{w}_score double"] if scored else [])
-        )
-        return self.spark.createDataFrame(
-            pd.DataFrame(rows, columns=cols), schema=schema
-        )
+            # Def. 2.8: any node matches an N set), one row per choice.
+            bindings = [
+                sorted(rt.nodes) if is_all_nodes(s) else [rt.seed_of(i)]
+                for i, s in enumerate(seed_sets)
+            ]
+            rows += [[*seeds, *base] for seeds in itertools.product(*bindings)]
+        return pd.DataFrame(rows, columns=list(dtypes)).astype(dtypes)
 
     # ---- full evaluation -------------------------------------------------
     def evaluate(
@@ -174,7 +157,9 @@ class EQLEngine:
             df = self.spark.sql(to_sql(b))
             keep = [c for c in df.columns if c in needed]
             if keep:
-                bound.append(df.select(*keep).toPandas().drop_duplicates())
+                pdf = df.select(*keep).toPandas().drop_duplicates()
+                # int64 even when empty, so it merges with the CTP tables.
+                bound.append(pdf.astype("int64"))
             else:
                 # A fully-projected-away BGP still acts as a boolean
                 # guard: no embeddings => empty result.
@@ -186,9 +171,15 @@ class EQLEngine:
             seed_sets = [self._seed_set(p, bound) for p in ctp.preds]
             report.seed_sets.append(seed_sets)
             filters = filters_from_spec(ctp.filters, default_filters)
-            outcome = algo_fn(
-                self.graph, seed_sets, filters=filters, multi_queue=multi_queue
-            )
+            if any(s == [] for s in seed_sets):
+                # An empty concrete seed set has no connecting tree; the
+                # search engines reject it, so it is not run.
+                outcome = SearchOutcome([], SearchStats(), exhausted=True,
+                                        timed_out=False, limit_hit=False)
+            else:
+                outcome = algo_fn(
+                    self.graph, seed_sets, filters=filters, multi_queue=multi_queue
+                )
             report.ctp_outcomes.append(outcome)
             report.ctp_tables.append(
                 self._ctp_table(
@@ -196,30 +187,40 @@ class EQLEngine:
                 )
             )
 
-        # (C) natural join + head projection.
-        tables = [
-            self.spark.createDataFrame(
-                pdf, schema=", ".join(f"{c} long" for c in pdf.columns)
-            )
-            for pdf in bound
-        ] + report.ctp_tables
-        joined = reduce(_natural_join, tables).distinct()
-        head_cols: list[str] = []
+        # (C) natural join from the CTP tables, head projection, then
+        # de-duplication: Def. 2.10 is set-based, and columns outside the
+        # head would otherwise turn into duplicate answers.
+        joined = _natural_join(report.ctp_tables + bound)
+        tree_vars = {c.tree_var for c in query.ctps}
+        schema: dict[str, str] = {}
         for h in query.head:
-            if any(h == c.tree_var for c in query.ctps):
-                head_cols += [h, f"{h}_size"]
+            if h in tree_vars:
+                schema |= {h: "string", f"{h}_size": "long"}
                 if f"{h}_score" in joined.columns:
-                    head_cols.append(f"{h}_score")
+                    schema[f"{h}_score"] = "double"
             else:
-                head_cols.append(h)
-        report.result = joined.select(*[F.col(c) for c in head_cols])
+                schema[h] = "long"
+        answer = joined[list(schema)].drop_duplicates()
         if guard_empty:
-            report.result = self.spark.createDataFrame([], report.result.schema)
+            answer = answer.iloc[:0]
+        report.result = self.spark.createDataFrame(
+            answer, schema=", ".join(f"{c} {t}" for c, t in schema.items())
+        )
         return report
 
 
-def _natural_join(a: DataFrame, b: DataFrame) -> DataFrame:
-    shared = [c for c in a.columns if c in set(b.columns)]
-    if shared:
-        return a.join(b, on=shared)
-    return a.crossJoin(b)
+def _natural_join(frames: list[pd.DataFrame]) -> pd.DataFrame:
+    """Natural join of ``frames``, starting from the first. Each step joins
+    the first remaining frame that shares a column with the result so far;
+    a frame is cross-joined only when no remaining frame shares one. Two
+    frames that share no column may be linked through a third, and joining
+    them first builds their whole cross product: the two BGP frames of CDF
+    ``Q_M3`` (``tl`` and ``bl1, bl2``) give 2,048 × 1,024 rows before the
+    CTP table filters them."""
+    joined, rest = frames[0], frames[1:]
+    while rest:
+        cols = set(joined.columns)
+        f = rest.pop(next((i for i, f in enumerate(rest) if cols & set(f.columns)), 0))
+        shared = [c for c in f.columns if c in cols]
+        joined = joined.merge(f, on=shared) if shared else joined.merge(f, how="cross")
+    return joined

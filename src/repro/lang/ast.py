@@ -63,6 +63,11 @@ class Pred:
     def is_empty(self) -> bool:
         return not self.conds
 
+    def matches(self, label: str, types: frozenset[str]) -> bool:
+        """True iff a value with this label and these types satisfies
+        every condition."""
+        return all(c.matches(label, types) for c in self.conds)
+
 
 def var(name: str) -> Pred:
     return Pred(name)

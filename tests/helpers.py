@@ -45,6 +45,6 @@ def _bind(g: LocalGraph, binding: dict, p: EdgePattern, e: Edge) -> bool:
     ):
         if binding.setdefault(pred.var, value) != value:
             return False
-        if not all(c.matches(label, types) for c in pred.conds):
+        if not pred.matches(label, types):
             return False
     return True

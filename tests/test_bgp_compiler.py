@@ -7,18 +7,16 @@ the ``LocalGraph`` and checks ``Cond.matches``.
 """
 import re
 
-import duckdb
 import pytest
 
-from repro.eql import EQLEngine
-from repro.eql.bgp import pred_sql, to_sql
+from repro.eql.bgp import to_sql
 from repro.experiments.cdf_eql import Q_M3
 from repro.experiments.table1_yago import J1, J2
 from repro.graph import generators as gen
 from repro.graph.model import Edge, LocalGraph
 from repro.graph.random_graphs import random_graph, yago_lite
 from repro.lang import parse
-from repro.lang.ast import Cond, Pred
+from repro.lang.ast import Cond
 from repro.oracle import assert_equivalent
 
 from .helpers import bgp_embeddings
@@ -122,17 +120,6 @@ def test_plan_reads_edges_only(text):
         assert len(re.findall(r"\bedges e_\d+\b", sql)) == len(edge_vars), sql
 
 
-def test_pred_sql_scans_nodes_once():
-    """A label predicate is answered by one scan of ``nodes``, with no
-    semi-join; a type condition beside it semi-joins ``types``."""
-    label = pred_sql(Pred("x", (Cond("label", "~", "A*"), Cond("label", "<", "C"))))
-    assert len(re.findall(r"\bnodes\b", label)) == 1, label
-    assert "EXISTS" not in label, label
-    mixed = pred_sql(Pred("x", (Cond("label", "=", "a"), Cond("type", "=", "t"))))
-    assert len(re.findall(r"\bnodes\b", mixed)) == 1, mixed
-    assert mixed.count("EXISTS") == 1 and "FROM types t" in mixed, mixed
-
-
 # ---- ~ patterns ------------------------------------------------------------
 
 LIKE_LABELS = {1: "50%off", 3: "a_b", 4: "axb", 5: "c:\\dir", 6: "wow!", 7: "it's",
@@ -165,16 +152,8 @@ def test_like_agrees_with_cond_matches(spark, like_graph, pattern, ids):
     g = like_graph
     cond = Cond("label", "~", pattern)
     assert [n for n in sorted(g.nodes) if cond.matches(g.label(n), g.types(n))] == ids
-    pred = Pred("x", (cond,))
-    assert sorted(EQLEngine(spark, g)._pred_nodes(pred)) == ids
-    con = duckdb.connect()
-    try:
-        for name, pdf in g.to_pandas().items():
-            con.register(name, pdf)
-        assert sorted(r[0] for r in con.execute(pred_sql(pred)).fetchall()) == ids
-    finally:
-        con.close()
 
+    _register(spark, g)
     bgp = parse(f'SELECT x WHERE (x{{label~"{pattern}"}}, e, y)').bgps[0]
     sql = to_sql(bgp, ["x", "e", "y"])
     assert_equivalent(spark.sql(sql), sql, **g.to_pandas())

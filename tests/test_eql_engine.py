@@ -145,6 +145,24 @@ def test_empty_guard_bgp_keeps_result_schema(fig1_engine):
     ]
 
 
+@pytest.mark.parametrize("text, dtypes", [
+    ('SELECT w WHERE CTP(x{label="noSuchNode"}, y{label="Alice"}, *w)',
+     [("w", "string"), ("w_size", "bigint")]),
+    ('SELECT x, w WHERE (x, "noSuchEdge", y) AND CTP(x, "Alice", *w)',
+     [("x", "bigint"), ("w", "string"), ("w_size", "bigint")]),
+], ids=["predicate", "bgp"])
+def test_empty_seed_set_gives_empty_answer(fig1_engine, text, dtypes):
+    """A seed set that a predicate or a BGP leaves empty is not searched:
+    its CTP has no results and the answer is empty, with the normal
+    schema."""
+    rep = fig1_engine.evaluate(parse(text))
+    assert [] in rep.seed_sets[0]
+    (outcome,) = rep.ctp_outcomes
+    assert outcome.completed and not outcome.results
+    assert rep.ctp_tables[0].empty
+    assert rep.result.count() == 0 and rep.result.dtypes == dtypes
+
+
 def test_evaluate_leaves_no_persistent_rdds(fig1_engine, spark):
     """Evaluating and counting a query leaves nothing cached behind."""
     jsc = spark.sparkContext._jsc
@@ -234,12 +252,16 @@ def _assert_join_matches_duckdb(graph, query, rep):
         }
     finally:
         con.close()
-    # CTP tables first: every BGP shares a seed variable with one of them.
     tables = {f"c{i}": t for i, t in enumerate(rep.ctp_tables)} | bgps
-    sql = (
-        f"SELECT DISTINCT {', '.join(rep.result.columns)} FROM "
-        + " NATURAL JOIN ".join(tables)
-    )
+    # DuckDB refuses a NATURAL JOIN on no shared column; that step is a
+    # CROSS JOIN, which is what a natural join then means.
+    names = list(tables)
+    seen = set(tables[names[0]].columns)
+    sql = f"SELECT DISTINCT {', '.join(rep.result.columns)} FROM {names[0]}"
+    for name in names[1:]:
+        cols = set(tables[name].columns)
+        sql += (" NATURAL JOIN " if cols & seen else " CROSS JOIN ") + name
+        seen |= cols
     assert_equivalent(rep.result, sql, **tables)
 
 
@@ -253,7 +275,24 @@ AND CTP(x, "France", *w2) MAX 3
 '''
 
 
-@pytest.mark.parametrize("text", [Q1, TWO_CTPS], ids=["q1", "two_ctps"])
+# x is a seed and w a tree column outside the head: several (x, w) rows
+# project to one answer.
+SEED_NOT_IN_HEAD = 'SELECT x WHERE CTP(x{type="entrepreneur"}, "Eve", *w)'
+
+# The two CTP tables share no column; only the BGP links them (y and z),
+# so the join must not start with their cross product.
+CTPS_LINKED_BY_BGP = '''
+SELECT x, z, w1, w2
+WHERE (y, e, z)
+AND CTP(x, y, *w1) MAX 2
+AND CTP(z, "Eve", *w2) MAX 2
+'''
+
+
+@pytest.mark.parametrize(
+    "text", [Q1, TWO_CTPS, SEED_NOT_IN_HEAD, CTPS_LINKED_BY_BGP],
+    ids=["q1", "two_ctps", "seed_not_in_head", "ctps_linked_by_bgp"],
+)
 def test_fig1_join_matches_duckdb(fig1_engine, text):
     q = parse(text)
     rep = fig1_engine.evaluate(q)

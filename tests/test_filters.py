@@ -2,7 +2,7 @@
 timeout — pushed into every algorithm."""
 import pytest
 
-from repro.core import bft, gam, molesp
+from repro.core import bft, bft_am, gam, molesp
 from repro.core.bruteforce import enumerate_results
 from repro.core.filters import CTPFilters
 from repro.core.scoring import label_diversity, size_score, specificity_score
@@ -134,15 +134,14 @@ def test_timeout_flag_set(algo):
     assert out.timed_out and not out.completed
 
 
-@pytest.mark.parametrize("algo", ALGOS, ids=["gam", "molesp", "bft"])
+@pytest.mark.parametrize(
+    "algo", ALGOS + [bft_am], ids=["gam", "molesp", "bft", "bft_am"]
+)
 def test_max_built_budget(algo):
     b = gen.star(8, 2)
     out = algo(b.graph, b.seed_sets, filters=CTPFilters(max_built=100))
     assert out.timed_out and not out.completed
-    if algo is not bft:
-        # The rooted engines check the budget before each build; BFT
-        # checks it once per step and may overshoot by a step's builds.
-        assert out.stats.built <= 101
+    assert out.stats.built <= 101
 
 
 def test_filters_with_copies():
