@@ -1,11 +1,12 @@
 """Named entry points for the §4 CTP evaluation algorithms."""
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 
 from ..graph.model import LocalGraph
 from .bft import BFTSearch
-from .engine import ALL_NODES, RootedSearch, SearchConfig, SearchOutcome
+from .engine import ALL_NODES, CTPSearch, RootedSearch, SearchConfig, SearchOutcome
 from .filters import CTPFilters
 
 __all__ = [
@@ -14,19 +15,37 @@ __all__ = [
 ]
 
 
+def _run(search: type[CTPSearch], *args) -> SearchOutcome:
+    """Build, run and drop one search with the cyclic GC paused.
+
+    A search allocates several tracked objects per tree it builds and
+    makes no reference cycles (see :mod:`.engine`), so the collector's
+    passes over its state would find nothing to free. The pause spans the
+    search object's whole life: re-enabled while that state is still
+    alive, the collector would at once scan it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return search(*args).run()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def bft(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
     """§4.1 breadth-first baseline (complete; minimizes results)."""
-    return BFTSearch(g, seed_sets, "none", filters).run()
+    return _run(BFTSearch, g, seed_sets, "none", filters)
 
 
 def bft_m(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
     """§4.3 BFT with single-level Merge."""
-    return BFTSearch(g, seed_sets, "once", filters).run()
+    return _run(BFTSearch, g, seed_sets, "once", filters)
 
 
 def bft_am(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
     """§4.3 BFT with aggressive Merge."""
-    return BFTSearch(g, seed_sets, "aggressive", filters).run()
+    return _run(BFTSearch, g, seed_sets, "aggressive", filters)
 
 
 # The §4 rooted algorithms are one engine under these SearchConfig presets.
@@ -45,7 +64,7 @@ def _rooted(name: str, doc: str):
     def run(g: LocalGraph, seed_sets: list, filters: CTPFilters = CTPFilters(), *,
             rng_seed=None, multi_queue=False) -> SearchOutcome:
         cfg = replace(preset, rng_seed=rng_seed, multi_queue=multi_queue)
-        return RootedSearch(g, seed_sets, cfg, filters).run()
+        return _run(RootedSearch, g, seed_sets, cfg, filters)
 
     run.__name__ = run.__qualname__ = name.lower()
     run.__doc__ = doc

@@ -25,14 +25,24 @@ arbitrary order, which the tests use to exercise "bad" execution orders
 for the incompleteness counter-examples (the paper's completeness claims
 are order-independent, and are tested as such).
 
-Grow queue: a Grow candidate is a (tree, edge) pair. A registered tree's
-candidates are computed once, when it is queued. In the default order
-they would pop as one contiguous block, so the tree takes one heap entry
-whose candidate list is consumed in place: a tree rooted at a hub costs
-one heap push, not one per incident edge, so a LIMIT search that stops
-early pays no heap push for the edges it never pops. Under ``rng_seed``
-every candidate draws its own key and takes its own entry. The
-multi-queue rule counts pending candidates, not heap entries.
+Grow queue: a Grow candidate is a (tree, edge) pair, and a heap entry
+holds a tree and an iterator over candidates. In the default order a
+tree takes one entry, whose iterator applies Grow1 and Grow2 to the
+root's cached adjacency as the entry pops, in adjacency order: a LIMIT
+search that stops early never filters the adjacency of a tree it does
+not grow. The candidates are listed up front only where the order needs
+them: under ``rng_seed`` each draws its own key and takes its own entry,
+and the multi-queue rule counts pending candidates. No tree is
+queued twice: GAM's ``rooted_hist`` admits each (edges, root) pair once,
+ESP's ``hist`` each edge set once, and a LESP exemption needs the edges
+to be new at their root.
+
+The search makes no reference cycles: trees, queue entries and their
+iterators refer to nothing that refers back to them, and an iterator
+captures the tree's fields, not the search. Everything it builds is
+therefore freed by reference counting, which is why the entry points of
+:mod:`.api` pause the cyclic garbage collector for a search's lifetime
+(``tests/test_gc_pause.py`` checks that nothing is left for it).
 
 :class:`CTPSearch` holds what every §4 algorithm shares, the BFT
 baselines of :mod:`.bft` included: the seed bitmask, the budget, result
@@ -44,6 +54,7 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 from random import Random
 
 from ..graph.model import Adj, LocalGraph
@@ -88,7 +99,8 @@ class SearchOutcome:
     results: list[ResultTree]
     stats: SearchStats
     exhausted: bool
-    timed_out: bool
+    timed_out: bool     # stopped by the timeout or by the max_built budget
+    budget_hit: bool    # stopped by the max_built budget
     limit_hit: bool
 
     @property
@@ -101,8 +113,10 @@ class SearchOutcome:
 
 
 class _Stop(Exception):
-    def __init__(self, timed_out: bool) -> None:
-        self.timed_out = timed_out
+    """Ends a search early; ``reason`` is "timeout", "budget" or "limit"."""
+
+    def __init__(self, reason: str) -> None:
+        self.reason = reason
 
 
 class CTPSearch:
@@ -148,9 +162,9 @@ class CTPSearch:
 
     def _check_budget(self) -> None:
         if self._deadline is not None and time.monotonic() > self._deadline:
-            raise _Stop(timed_out=True)
+            raise _Stop("timeout")
         if self.f.max_built is not None and self.stats.built >= self.f.max_built:
-            raise _Stop(timed_out=True)
+            raise _Stop("budget")
 
     def _report(self, rt: ResultTree) -> None:
         key = rt.key()
@@ -161,7 +175,7 @@ class CTPSearch:
         self.results[key] = rt
         self.stats.results_found += 1
         if self.f.limit is not None and len(self.results) >= self.f.limit:
-            raise _Stop(timed_out=False)
+            raise _Stop("limit")
 
     def _search(self) -> None:
         """INIT and the main loop; returns when the queue is exhausted."""
@@ -171,12 +185,12 @@ class CTPSearch:
         t0 = time.monotonic()
         if self.f.timeout_s is not None:
             self._deadline = t0 + self.f.timeout_s
-        exhausted = timed_out = limit_hit = False
+        exhausted, reason = False, None
         try:
             self._search()
             exhausted = True
         except _Stop as s:
-            timed_out, limit_hit = s.timed_out, not s.timed_out
+            reason = s.reason
         self.stats.elapsed_s = time.monotonic() - t0
         results = sorted(
             self.results.values(), key=lambda r: (r.size, sorted(r.edges))
@@ -185,7 +199,12 @@ class CTPSearch:
             results = sorted(
                 results, key=lambda r: (-r.score, r.size, sorted(r.edges))
             )[: self.f.top_k]
-        return SearchOutcome(results, self.stats, exhausted, timed_out, limit_hit)
+        return SearchOutcome(
+            results, self.stats, exhausted,
+            timed_out=reason in ("timeout", "budget"),
+            budget_hit=reason == "budget",
+            limit_hit=reason == "limit",
+        )
 
 
 class RootedSearch(CTPSearch):
@@ -207,10 +226,8 @@ class RootedSearch(CTPSearch):
         self.rooted_in: dict[int, list[RTree]] = {}
         self.rooted_edge_sets: dict[int, set[frozenset[int]]] = {}
         self.ss: dict[int, int] = {}                         # seed signatures
-        self.queued: set[tuple[frozenset[int], int]] = set()  # (edges, root)
         self.queues: dict[int, list] = {}                    # sat -> heap
         self.pending: dict[int, int] = {}     # multi-queue: sat -> candidates left
-        self.n_queued = 0
         self.adj_cache: dict[int, tuple[Adj, ...]] = {}      # see _grow_adj
         self._seq = 0
         self._rng = None if config.rng_seed is None else Random(config.rng_seed)
@@ -316,62 +333,65 @@ class RootedSearch(CTPSearch):
 
     # ---- Grow ------------------------------------------------------------
     def _push_grows(self, t: RTree) -> None:
-        """Queue the Grow candidates of ``t``: one heap entry for the whole
-        tree in the default order, one per candidate under ``rng_seed``.
+        """Queue the Grow candidates of ``t``.
 
         An entry is ``(prio, tie, seq, tree, candidates)``, the candidates
-        reversed so that ``pop()`` hands them out in adjacency order. The
-        unique ``seq`` keeps heap comparisons away from the tree. In the
-        default order the priority is the new tree's size and the tie is
-        ``seq`` itself: a tree's candidates would get consecutive keys, so
-        they pop as one block either way. Under ``rng_seed`` both the
-        priority and the tie are random draws.
+        an iterator in adjacency order. The unique ``seq`` keeps heap
+        comparisons away from the tree. In the default order the priority
+        is the new tree's size, the tie is ``seq`` itself, and the iterator
+        filters the adjacency lazily: a tree's candidates would get
+        consecutive keys, so they pop as one block either way, and a tree
+        with none pops once and is dropped. Under ``rng_seed`` both the
+        priority and the tie are random draws, one entry per candidate.
         """
         if self.f.max_edges is not None and t.size >= self.f.max_edges:
             return  # MAX
         nodes, sat, node_sets = t.nodes, t.sat, self.node_sets
-        cands = [
-            a for a in reversed(self._grow_adj(t.root))
+        cands = (
+            a for a in self._grow_adj(t.root)
             if a.other not in nodes                   # Grow1
             and not node_sets.get(a.other, 0) & sat   # Grow2
-        ]
-        if not cands:
-            return
-        key = (t.edges, t.root)
-        if key in self.queued:
-            return
-        self.queued.add(key)
-        qkey = t.sat if self.cfg.multi_queue else 0
+        )
+        multi = self.cfg.multi_queue
+        if multi or self._rng is not None:
+            cands = list(cands)
+            if not cands:
+                return
+        qkey = t.sat if multi else 0
         heap = self.queues.setdefault(qkey, [])
-        if self.cfg.multi_queue:
+        if multi:
             self.pending[qkey] = self.pending.get(qkey, 0) + len(cands)
-        self.n_queued += len(cands)
         if self._rng is None:
             self._seq += 1
-            heapq.heappush(heap, (t.size + 1, self._seq, self._seq, t, cands))
+            heapq.heappush(heap, (t.size + 1, self._seq, self._seq, t, iter(cands)))
             return
         rand = self._rng.random
-        for a in reversed(cands):
+        for a in cands:
             self._seq += 1
-            heapq.heappush(heap, (rand(), rand(), self._seq, t, [a]))
+            heapq.heappush(heap, (rand(), rand(), self._seq, t, iter((a,))))
 
-    def _pop(self) -> tuple[RTree, Adj]:
+    def _pop(self) -> tuple[RTree, Adj] | None:
+        """The next Grow candidate, or None when the queues are empty."""
         if self.cfg.multi_queue:
             # §4.9: serve the queue with the fewest pending candidates.
-            qkey = min(
-                (k for k, n in self.pending.items() if n),
-                key=self.pending.__getitem__,
-            )
+            live = [k for k, n in self.pending.items() if n]
+            if not live:
+                return None
+            qkey = min(live, key=self.pending.__getitem__)
             self.pending[qkey] -= 1
         else:
             qkey = 0
-        heap = self.queues[qkey]
-        t, cands = heap[0][3:]
-        a = cands.pop()  # the entry's key is unchanged: the heap stays valid
-        if not cands:
+        heap = self.queues.get(qkey, [])
+        while heap:
+            t, cands = heap[0][3:]
+            # The entry's key is unchanged while it is consumed: the heap
+            # stays valid. An exhausted entry is dropped on the next pop.
+            for a in cands:
+                if self.cfg.multi_queue and not self.pending[qkey]:
+                    heap.clear()  # that was the queue's last candidate
+                return t, a
             heapq.heappop(heap)
-        self.n_queued -= 1
-        return t, a
+        return None
 
     def _grow(self, t: RTree, a: Adj) -> RTree:
         other_bits = self.node_sets.get(a.other, 0)
@@ -392,67 +412,72 @@ class RootedSearch(CTPSearch):
             False,
         )
 
-    # ---- Merge -----------------------------------------------------------
-    def _try_merge(self, t1: RTree, t2: RTree) -> RTree | None:
-        self.stats.merges_tried += 1
-        root = t1.root
-        # Merge2, read per DESIGN.md §6: sat overlap only through the
-        # shared root (required by the §4.5 MoESP walk-through). Tested
-        # before Merge1: it is a mask test and rejects most attempts.
-        if t1.sat & t2.sat & ~self.node_sets.get(root, 0):
-            return None
-        if (t1.nodes & t2.nodes) != {root}:  # Merge1
-            return None
-        if (
-            self.f.max_edges is not None
-            and t1.size + t2.size > self.f.max_edges
-        ):
-            return None
-        self.stats.merges_done += 1
-        return RTree(
-            t1.edges | t2.edges,
-            t1.nodes | t2.nodes,
-            root,
-            t1.sat | t2.sat,
-            t1.seeds | t2.seeds,
-            False,
-            t1.no_grow or t2.no_grow,
-        )
-
     # ---- integrate a Grow/INIT result: MergeAll + Mo injection ----------
     def _integrate(self, t: RTree, gained: bool) -> None:
-        self.stats.built += 1
+        stats = self.stats
+        stats.built += 1
         self._check_budget()
         if not self._is_new(t):
-            self.stats.pruned += 1
+            stats.pruned += 1
             return
         if self._register(t):
             return
+        # The budget is checked before a Merge attempt only when a tree was
+        # built since the last check: the same stop as a check before
+        # every attempt, as ``built`` is the only count it reads.
+        checked = stats.built
         work: deque[RTree] = deque([t])
         for mc in self._mo_copies(t, gained):
-            self.stats.built += 1
+            stats.built += 1
             self._register_mo(mc)
             work.append(mc)
-        while work:
-            cur = work.popleft()
-            for p in list(self.rooted_in.get(cur.root, ())):
-                if p is cur:
-                    continue
-                self._check_budget()
-                merged = self._try_merge(cur, p)
-                if merged is None:
-                    continue
-                self.stats.built += 1
-                if not self._is_new(merged):
-                    self.stats.pruned += 1
-                    continue
-                if self._register(merged):
-                    continue
-                work.append(merged)
-                for mc in self._mo_copies(merged, True):
-                    self.stats.built += 1
-                    self._register_mo(mc)
-                    work.append(mc)
+        node_sets, max_edges = self.node_sets, self.f.max_edges
+        tried = 0
+        try:
+            while work:
+                cur = work.popleft()
+                root = cur.root
+                # Merge2, read per DESIGN.md §6: sat overlap only through
+                # the shared root (required by the §4.5 MoESP walk-through).
+                # Tested first: it is a mask test and rejects most attempts.
+                blocked = cur.sat & ~node_sets.get(root, 0)
+                # Merge1: the trees share only the root, which both hold.
+                others = cur.nodes - {root}
+                peers = self.rooted_in[root]
+                # Trees registered during the walk are not merged with cur
+                # here: they meet it from their own turn in the work list.
+                for p in islice(peers, len(peers)):
+                    if p is cur:
+                        continue
+                    if stats.built != checked:
+                        self._check_budget()
+                        checked = stats.built
+                    tried += 1
+                    if (blocked & p.sat or not others.isdisjoint(p.nodes)
+                            or max_edges is not None
+                            and cur.size + p.size > max_edges):
+                        continue
+                    stats.merges_done += 1
+                    stats.built += 1
+                    merged = RTree(
+                        cur.edges | p.edges,
+                        cur.nodes | p.nodes,
+                        root,
+                        cur.sat | p.sat,
+                        cur.seeds | p.seeds,
+                        False,
+                        cur.no_grow or p.no_grow,
+                    )
+                    if not self._is_new(merged):
+                        stats.pruned += 1
+                    elif not self._register(merged):
+                        work.append(merged)
+                        for mc in self._mo_copies(merged, True):
+                            stats.built += 1
+                            self._register_mo(mc)
+                            work.append(mc)
+        finally:
+            stats.merges_tried += tried
 
     # ---- Algorithm 1 main loop ------------------------------------------
     def _search(self) -> None:
@@ -467,9 +492,9 @@ class RootedSearch(CTPSearch):
                           self._seed_pairs(n, bits), True, False)
                 self.ss[n] = self.ss.get(n, 0) | bits
                 self._integrate(t, gained=False)
-        while self.n_queued:
+        while (cand := self._pop()) is not None:
             self._check_budget()
-            t, a = self._pop()
+            t, a = cand
             self.stats.grows += 1
             t2 = self._grow(t, a)
             if t2.is_seed_path:

@@ -175,7 +175,8 @@ class EQLEngine:
                 # An empty concrete seed set has no connecting tree; the
                 # search engines reject it, so it is not run.
                 outcome = SearchOutcome([], SearchStats(), exhausted=True,
-                                        timed_out=False, limit_hit=False)
+                                        timed_out=False, budget_hit=False,
+                                        limit_hit=False)
             else:
                 outcome = algo_fn(
                     self.graph, seed_sets, filters=filters, multi_queue=multi_queue

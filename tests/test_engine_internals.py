@@ -16,23 +16,38 @@ def run_search(bundle, **cfg):
 
 
 class PopRecorder(RootedSearch):
-    """Records every (tree, edge) Grow candidate the queue hands out."""
+    """Records every tree queued for Grow and every (tree, edge) Grow
+    candidate the queue hands out."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
+        self.pushed = []
         self.popped = []
 
+    def _push_grows(self, t):
+        self.pushed.append(t)
+        super()._push_grows(t)
+
     def _pop(self):
-        t, a = super()._pop()
-        self.popped.append((t, a))
-        return t, a
+        cand = super()._pop()
+        if cand is not None:
+            self.popped.append(cand)
+        return cand
+
+
+def grow_candidates(s, t):
+    """The edges MAX, Grow1 and Grow2 leave ``t`` to grow along."""
+    if s.f.max_edges is not None and t.size >= s.f.max_edges:
+        return []
+    return [a for a in s._grow_adj(t.root)
+            if a.other not in t.nodes and not s.node_sets.get(a.other, 0) & t.sat]
 
 
 def run_recorded(bundle, **cfg):
     s = PopRecorder(bundle.graph, bundle.seed_sets, SearchConfig(**cfg))
     out = s.run()
     # An exhaustive search pops every candidate it queued.
-    assert out.exhausted and s.n_queued == 0
+    assert out.exhausted
     assert not any(s.queues.values()) and not any(s.pending.values())
     return s, out
 
@@ -117,15 +132,21 @@ def test_merge_root_seed_overlap_allowed():
 
 
 def test_queue_dedup_no_duplicate_entries():
-    """No (tree, edge) candidate is queued twice, and every queued
-    candidate is popped exactly once, as one Grow."""
+    """No tree is queued twice, no (tree, edge) candidate is popped twice,
+    every pop is one Grow, and every candidate of every queued tree is
+    popped."""
     b = gen.line(3, 1)
     for cfg in ({}, {"esp": True, "mo": True, "lesp": True},
                 {"rng_seed": 1}, {"multi_queue": True}):
         s, out = run_recorded(b, **cfg)
         pairs = [(t.edges, t.root, a.eid) for t, a in s.popped]
         assert len(pairs) == len(set(pairs)) == out.stats.grows, cfg
-        assert {(e, r) for e, r, _ in pairs} == s.queued, cfg
+        queued = [(t.edges, t.root) for t in s.pushed]
+        assert len(queued) == len(set(queued)), cfg
+        cands = {(t.edges, t.root, a.eid)
+                 for t in s.pushed for a in grow_candidates(s, t)}
+        assert set(pairs) == cands, cfg
+        assert not any(t.no_grow for t in s.pushed), cfg
 
 
 def test_timeout_zero_still_returns_outcome():

@@ -132,6 +132,7 @@ def test_timeout_flag_set(algo):
     b = gen.star(10, 3)
     out = algo(b.graph, b.seed_sets, filters=CTPFilters(timeout_s=0.0))
     assert out.timed_out and not out.completed
+    assert not out.budget_hit and not out.limit_hit
 
 
 @pytest.mark.parametrize(
@@ -140,7 +141,8 @@ def test_timeout_flag_set(algo):
 def test_max_built_budget(algo):
     b = gen.star(8, 2)
     out = algo(b.graph, b.seed_sets, filters=CTPFilters(max_built=100))
-    assert out.timed_out and not out.completed
+    assert out.timed_out and out.budget_hit and not out.completed
+    assert not out.limit_hit
     assert out.stats.built <= 101
 
 

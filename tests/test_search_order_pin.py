@@ -7,12 +7,16 @@ the reference implementation (one heap entry per tree and edge); a pure
 speed change to the queue must reproduce them exactly.
 
 Each case is (built, kept, pruned, grows, merges_tried, merges_done,
-sorted result edge sets), one tuple per query.
+sorted result edge sets), one tuple per query. The exhaustive cases pin
+a digest of the sorted result edge sets instead, with their count.
 """
+import hashlib
+
 import pytest
 
 from repro.core import esp, molesp, moesp
 from repro.core.filters import CTPFilters
+from repro.graph import generators as gen
 from repro.graph.random_graphs import dbpedia_lite, random_graph, sample_ctp_workload
 
 
@@ -106,3 +110,36 @@ PINNED = {
 def test_search_order_pinned(case):
     run, expected = PINNED[case]
     assert [fingerprint(out) for out in run()] == expected
+
+
+def _cdf_m3(filters):
+    """Fig 14 shape, searched to exhaustion: MoLESP on a small m=3 CDF with
+    the targets of the "c", "g" and "h" edges as the three seed sets."""
+    g = gen.cdf(3, n_t=16, n_l=32, s_l=3, seed=17).graph
+    ss = [sorted({e.dst for e in g.edges.values() if e.label == lab})
+          for lab in "cgh"]
+    return molesp(g, ss, filters=filters)
+
+
+def exhaustive_fingerprint(out):
+    s = out.stats
+    trees = repr(sorted(sorted(r.edges) for r in out.results))
+    return (s.built, s.kept, s.pruned, s.grows, s.merges_tried, s.merges_done,
+            len(out.results), hashlib.sha256(trees.encode()).hexdigest()[:16])
+
+
+PINNED_EXHAUSTIVE = {
+    "cdf_m3_uni": (CTPFilters(uni=True),
+                   (890, 826, 64, 576, 1536, 186, 58, "3bc7ece1de424391")),
+    "cdf_m3_bidirectional": (CTPFilters(),
+                             (2326, 1526, 800, 960, 2796, 918, 310,
+                              "0f3f314eac2d2c3a")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EXHAUSTIVE))
+def test_exhaustive_search_pinned(case):
+    filters, expected = PINNED_EXHAUSTIVE[case]
+    out = _cdf_m3(filters)
+    assert out.exhausted and not out.timed_out
+    assert exhaustive_fingerprint(out) == expected
