@@ -20,7 +20,7 @@ def test_fig11_line(benchmark, algo):
         lambda: ALGORITHMS[algo](b.graph, b.seed_sets, filters=_FILTERS),
         iterations=1, rounds=3,
     )
-    assert out.completed
+    assert out.stop == "exhausted"
 
 
 @pytest.mark.parametrize("algo", _VARIANTS)
@@ -30,7 +30,7 @@ def test_fig11_comb(benchmark, algo):
         lambda: ALGORITHMS[algo](b.graph, b.seed_sets, filters=_FILTERS),
         iterations=1, rounds=3,
     )
-    assert out.completed
+    assert out.stop == "exhausted"
 
 
 @pytest.mark.parametrize("algo", _VARIANTS)

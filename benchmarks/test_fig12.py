@@ -36,7 +36,7 @@ def test_fig12_molesp(benchmark, graph, workloads, m):
         ]
 
     outs = benchmark.pedantic(run, iterations=1, rounds=2)
-    assert all(o.limit_hit and len(o.results) == 1 for o in outs)
+    assert all(o.stop == "limit" and len(o.results) == 1 for o in outs)
 
 
 @pytest.mark.parametrize("m", [2, 4])

@@ -4,15 +4,9 @@ import pytest
 
 from repro.baselines.paths import enumerate_paths, reachable_pairs
 from repro.eql import EQLEngine
+from repro.experiments.cdf_eql import Q_M2
 from repro.graph import generators as gen
 from repro.lang import parse
-
-Q = '''
-SELECT tl, bl, l
-WHERE (x, "c", tl)
-AND (v, "g", bl)
-AND CTP(tl, bl, *l)
-'''
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +15,7 @@ def setup(spark):
     eng = EQLEngine(spark, b.graph)
     edges = eng.dfs["edges"].cache()
     edges.count()
-    rep = eng.evaluate(parse(Q.replace("*l)", "*l) MAX 0")))
+    rep = eng.evaluate(parse(Q_M2.replace("*l)", "*l) MAX 0")))
     tl, bl = rep.seed_sets[0]
     return b, eng, edges, tl, bl
 
@@ -55,7 +49,7 @@ def test_fig13_neo4j_sub(benchmark, spark, setup):
 def test_fig13_uni_molesp(benchmark, spark, setup):
     b, eng, edges, tl, bl = setup
     out = benchmark.pedantic(
-        lambda: eng.evaluate(parse(Q.replace("*l)", "*l) UNI"))).result.count(),
+        lambda: eng.evaluate(parse(Q_M2.replace("*l)", "*l) UNI"))).result.count(),
         iterations=1, rounds=2,
     )
     assert out == len(b.links)
@@ -64,7 +58,7 @@ def test_fig13_uni_molesp(benchmark, spark, setup):
 def test_fig13_molesp_bidirectional(benchmark, spark, setup):
     b, eng, edges, tl, bl = setup
     out = benchmark.pedantic(
-        lambda: eng.evaluate(parse(Q)).result.count(),
+        lambda: eng.evaluate(parse(Q_M2)).result.count(),
         iterations=1, rounds=2,
     )
     assert out == len(b.links)

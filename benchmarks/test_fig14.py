@@ -3,16 +3,9 @@ import pytest
 
 from repro.baselines.paths import enumerate_paths, stitch_paths_m3
 from repro.eql import EQLEngine
+from repro.experiments.cdf_eql import Q_M3
 from repro.graph import generators as gen
 from repro.lang import parse
-
-Q = '''
-SELECT tl, bl1, bl2, l
-WHERE (x, "c", tl)
-AND (v, "g", bl1)
-AND (v, "h", bl2)
-AND CTP(tl, bl1, bl2, *l)
-'''
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +14,7 @@ def setup(spark):
     eng = EQLEngine(spark, b.graph)
     edges = eng.dfs["edges"].cache()
     edges.count()
-    rep = eng.evaluate(parse(Q.replace("*l)", "*l) MAX 0")))
+    rep = eng.evaluate(parse(Q_M3.replace("*l)", "*l) MAX 0")))
     tl, bl1, bl2 = rep.seed_sets[0]
     return b, eng, edges, tl, sorted(set(bl1) | set(bl2))
 
@@ -39,7 +32,7 @@ def test_fig14_postgres_sub_stitched(benchmark, spark, setup):
 def test_fig14_uni_molesp(benchmark, spark, setup):
     b, eng, edges, tl, bl = setup
     out = benchmark.pedantic(
-        lambda: eng.evaluate(parse(Q.replace("*l)", "*l) UNI"))).result.count(),
+        lambda: eng.evaluate(parse(Q_M3.replace("*l)", "*l) UNI"))).result.count(),
         iterations=1, rounds=2,
     )
     assert out == len(b.links)
@@ -48,7 +41,7 @@ def test_fig14_uni_molesp(benchmark, spark, setup):
 def test_fig14_molesp_bidirectional(benchmark, spark, setup):
     b, eng, edges, tl, bl = setup
     n = benchmark.pedantic(
-        lambda: eng.evaluate(parse(Q)).result.count(),
+        lambda: eng.evaluate(parse(Q_M3)).result.count(),
         iterations=1, rounds=2,
     )
     # The 64 UNI trees plus the bidirectional ones the BGP join keeps.

@@ -98,18 +98,21 @@ class SearchStats:
 class SearchOutcome:
     results: list[ResultTree]
     stats: SearchStats
-    exhausted: bool
-    timed_out: bool     # stopped by the timeout or by the max_built budget
-    budget_hit: bool    # stopped by the max_built budget
-    limit_hit: bool
+    stop: str   # "exhausted", "limit", "timeout" or "budget" (max_built)
+
+    # perfbench reads these three; ROADMAP item 2 removes them once it
+    # reads ``stop``. ``timed_out`` means "timeout or budget".
+    @property
+    def exhausted(self) -> bool:
+        return self.stop == "exhausted"
 
     @property
-    def completed(self) -> bool:
-        """True iff the search ran to queue exhaustion (no budget cut)."""
-        return self.exhausted and not self.timed_out
+    def limit_hit(self) -> bool:
+        return self.stop == "limit"
 
-    def edge_sets(self) -> set[frozenset[int]]:
-        return {r.edges for r in self.results}
+    @property
+    def timed_out(self) -> bool:
+        return self.stop in ("timeout", "budget")
 
 
 class _Stop(Exception):
@@ -185,12 +188,13 @@ class CTPSearch:
         t0 = time.monotonic()
         if self.f.timeout_s is not None:
             self._deadline = t0 + self.f.timeout_s
-        exhausted, reason = False, None
         try:
+            if self.f.limit == 0:
+                raise _Stop("limit")  # _report tests LIMIT after an add
             self._search()
-            exhausted = True
+            stop = "exhausted"
         except _Stop as s:
-            reason = s.reason
+            stop = s.reason
         self.stats.elapsed_s = time.monotonic() - t0
         results = sorted(
             self.results.values(), key=lambda r: (r.size, sorted(r.edges))
@@ -199,12 +203,7 @@ class CTPSearch:
             results = sorted(
                 results, key=lambda r: (-r.score, r.size, sorted(r.edges))
             )[: self.f.top_k]
-        return SearchOutcome(
-            results, self.stats, exhausted,
-            timed_out=reason in ("timeout", "budget"),
-            budget_hit=reason == "budget",
-            limit_hit=reason == "limit",
-        )
+        return SearchOutcome(results, self.stats, stop)
 
 
 class RootedSearch(CTPSearch):

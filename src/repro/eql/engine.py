@@ -56,6 +56,9 @@ def filters_from_spec(
     if spec.timeout_s is not None:
         kw["timeout_s"] = spec.timeout_s
     if spec.score is not None:
+        if spec.score not in SCORE_REGISTRY:
+            raise ValueError(f"unknown SCORE {spec.score!r}; known: "
+                             + ", ".join(SCORE_REGISTRY))
         kw["score"] = SCORE_REGISTRY[spec.score]
     return defaults.with_(**kw) if kw else defaults
 
@@ -174,9 +177,7 @@ class EQLEngine:
             if any(s == [] for s in seed_sets):
                 # An empty concrete seed set has no connecting tree; the
                 # search engines reject it, so it is not run.
-                outcome = SearchOutcome([], SearchStats(), exhausted=True,
-                                        timed_out=False, budget_hit=False,
-                                        limit_hit=False)
+                outcome = SearchOutcome([], SearchStats(), "exhausted")
             else:
                 outcome = algo_fn(
                     self.graph, seed_sets, filters=filters, multi_queue=multi_queue

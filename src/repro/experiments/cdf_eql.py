@@ -51,7 +51,6 @@ def run(
     m: int = 2,
     s_l_values: tuple[int, ...] = (3, 6),
     full: bool = False,
-    timeout_s: float = 60.0,
 ) -> pd.DataFrame:
     rows = []
     query_text = Q_M2 if m == 2 else Q_M3
@@ -75,18 +74,11 @@ def run(
 
             def time_paths(directed, labels=None):
                 t0 = time.monotonic()
-                if m == 2:
-                    df = enumerate_paths(
-                        spark, edges_df, tl_nodes, bl_nodes, max_len,
-                        directed=directed, labels=labels,
-                    )
-                    n = df.count()
-                else:
-                    df = enumerate_paths(
-                        spark, edges_df, tl_nodes, bl_nodes, max_len,
-                        directed=directed, labels=labels,
-                    )
-                    n = stitch_paths_m3(df, df).count()
+                df = enumerate_paths(
+                    spark, edges_df, tl_nodes, bl_nodes, max_len,
+                    directed=directed, labels=labels,
+                )
+                n = (df if m == 2 else stitch_paths_m3(df, df)).count()
                 return n, time.monotonic() - t0
 
             def record(system, n, dt, note=""):

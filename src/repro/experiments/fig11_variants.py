@@ -52,7 +52,7 @@ def run(*, timeout_s: float = 30.0, full: bool = False) -> pd.DataFrame:
                     "time_s": round(out.stats.elapsed_s, 3),
                     "provenances": out.stats.built,
                     "results": len(out.results),
-                    "completed": out.completed,
+                    "stop": out.stop,
                 }
             )
     return pd.DataFrame(rows)

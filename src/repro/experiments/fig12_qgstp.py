@@ -48,7 +48,7 @@ def run(
                 out = fn(g, seed_sets, filters=filters)
                 stats[name]["time"] += out.stats.elapsed_s
                 stats[name]["found"] += bool(out.results)
-                stats[name]["timeouts"] += out.timed_out
+                stats[name]["timeouts"] += out.stop == "timeout"
             t0 = time.monotonic()
             rt, _ = dpbf(g, seed_sets, uni=True)
             stats["QGSTP-sub"]["time"] += time.monotonic() - t0

@@ -72,9 +72,7 @@ def run(spark, *, scale: float = 0.25, timeout_s: float = 60.0) -> pd.DataFrame:
         t0 = time.monotonic()
         rep = eng.evaluate(q, algo="MoLESP", default_filters=defaults, **eql_kwargs)
         n = rep.result.count()
-        ctp_s = sum(
-            getattr(o.stats, "elapsed_s", 0.0) for o in rep.ctp_outcomes
-        )
+        ctp_s = sum(o.stats.elapsed_s for o in rep.ctp_outcomes)
         record(name, "MoLESP-EQL", time.monotonic() - t0, n,
                f"CTP search {ctp_s:.2f}s of total")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Edge, GraphBundle, LocalGraph
+from .model import Edge, LocalGraph
 
 _EDGE_VOCAB = (
     "livesIn", "worksAt", "locatedIn", "created", "knows",

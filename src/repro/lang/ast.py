@@ -78,13 +78,6 @@ def const(label: str, v: str | None = None) -> Pred:
     return Pred(v or _fresh(), (Cond("label", "=", label),))
 
 
-def typed(type_name: str, v: str | None = None, **conds) -> Pred:
-    cs = [Cond("type", "=", type_name)]
-    for prop, value in conds.items():
-        cs.append(Cond(prop, "=", value))
-    return Pred(v or _fresh(), tuple(cs))
-
-
 @dataclass(frozen=True)
 class EdgePattern:
     """(p1, p2, p3): predicates over source node, edge, target node."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .ast import BGP, CTP, Cond, CTPFilterSpec, EdgePattern, Pred, Query
+from .ast import BGP, CTP, Cond, CTPFilterSpec, EdgePattern, Pred, Query, const
 
 _TOKEN = re.compile(
     r"""
@@ -81,7 +81,7 @@ class _Tokens:
 def _parse_pred(ts: _Tokens) -> Pred:
     kind, v = ts.next()
     if kind == "str":
-        return Pred(_fresh_const_var(), (Cond("label", "=", v[1:-1]),))
+        return const(v[1:-1])
     if kind != "name":
         raise ParseError(f"expected predicate, got {v!r}")
     varname = v
@@ -107,14 +107,6 @@ def _parse_pred(ts: _Tokens) -> Pred:
                 raise ParseError(f"expected , or }} in conditions, got {sep!r}")
         return Pred(varname, tuple(conds))
     return Pred(varname)
-
-
-_const_counter = [0]
-
-
-def _fresh_const_var() -> str:
-    _const_counter[0] += 1
-    return f"_c{_const_counter[0]}"
 
 
 def _parse_ctp_filters(ts: _Tokens) -> CTPFilterSpec:

@@ -23,7 +23,7 @@ ALL_BFT = [bft, bft_m, bft_am]
 def test_bft_complete_on_examples(algo, bundle):
     expect = keys(enumerate_results(bundle.graph, bundle.seed_sets))
     out = algo(bundle.graph, bundle.seed_sets)
-    assert out.completed
+    assert out.stop == "exhausted"
     assert keys(out) == expect
 
 
@@ -65,13 +65,13 @@ def test_bft_rejects_all_nodes_sets():
 def test_bft_max_built_budget_cuts_search():
     b = gen.star(6, 2)
     out = bft(b.graph, b.seed_sets, filters=CTPFilters(max_built=10))
-    assert out.timed_out and not out.completed
+    assert out.stop == "budget"
 
 
 def test_bft_limit_stops_early():
     b = gen.chain(4)
     out = bft(b.graph, b.seed_sets, filters=CTPFilters(limit=3))
-    assert out.limit_hit
+    assert out.stop == "limit"
     assert len(out.results) == 3
 
 

@@ -47,7 +47,7 @@ def run_recorded(bundle, **cfg):
     s = PopRecorder(bundle.graph, bundle.seed_sets, SearchConfig(**cfg))
     out = s.run()
     # An exhaustive search pops every candidate it queued.
-    assert out.exhausted
+    assert out.stop == "exhausted"
     assert not any(s.queues.values()) and not any(s.pending.values())
     return s, out
 
@@ -155,7 +155,7 @@ def test_timeout_zero_still_returns_outcome():
         b.graph, b.seed_sets, SearchConfig(), CTPFilters(timeout_s=0.0)
     )
     out = s.run()
-    assert out.timed_out and isinstance(out.results, list)
+    assert out.stop == "timeout" and isinstance(out.results, list)
 
 
 def test_unknown_all_nodes_only_rejected():

@@ -158,9 +158,22 @@ def test_empty_seed_set_gives_empty_answer(fig1_engine, text, dtypes):
     rep = fig1_engine.evaluate(parse(text))
     assert [] in rep.seed_sets[0]
     (outcome,) = rep.ctp_outcomes
-    assert outcome.completed and not outcome.results
+    assert outcome.stop == "exhausted" and not outcome.results
     assert rep.ctp_tables[0].empty
     assert rep.result.count() == 0 and rep.result.dtypes == dtypes
+
+
+def test_limit_zero_gives_empty_answer(fig1_engine):
+    """LIMIT 0 runs no search: no rows, the normal schema."""
+    rep = fig1_engine.evaluate(
+        parse('SELECT x, w WHERE CTP(x{label="Alice"}, "USA", *w) LIMIT 0')
+    )
+    (outcome,) = rep.ctp_outcomes
+    assert outcome.stop == "limit" and not outcome.results
+    assert rep.result.count() == 0
+    assert rep.result.dtypes == [
+        ("x", "bigint"), ("w", "string"), ("w_size", "bigint")
+    ]
 
 
 def test_evaluate_leaves_no_persistent_rdds(fig1_engine, spark):

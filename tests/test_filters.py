@@ -2,7 +2,7 @@
 timeout — pushed into every algorithm."""
 import pytest
 
-from repro.core import bft, bft_am, gam, molesp
+from repro.core import ALGORITHMS, bft, bft_am, gam, molesp
 from repro.core.bruteforce import enumerate_results
 from repro.core.filters import CTPFilters
 from repro.core.scoring import label_diversity, size_score, specificity_score
@@ -13,6 +13,7 @@ from repro.graph.random_graphs import random_graph
 from repro.lang import parse
 
 from tests.helpers import keys
+from tests.test_gc_pause import ENDS, INPUTS
 
 ALGOS = [gam, molesp, bft]
 
@@ -72,7 +73,15 @@ def test_limit_stops_after_k(algo):
     b = gen.chain(4)
     out = algo(b.graph, b.seed_sets, filters=CTPFilters(limit=5))
     assert len(out.results) == 5
-    assert out.limit_hit
+    assert out.stop == "limit"
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_limit_zero_runs_no_search(algo):
+    b = gen.star(4, 2)
+    out = ALGORITHMS[algo](b.graph, b.seed_sets, filters=CTPFilters(limit=0))
+    assert out.results == [] and out.stop == "limit"
+    assert out.stats.built == 0
 
 
 def test_limit_one_is_first_result_only():
@@ -127,12 +136,17 @@ def test_top_k_needs_score():
     assert f.top_k == 1 and f.score is size_score
 
 
+def test_unknown_score_names_the_known_ones():
+    spec = parse('SELECT w WHERE CTP("A", "B", *w) SCORE nosuch').ctps[0].filters
+    with pytest.raises(ValueError, match="nosuch.*size, diversity, specificity"):
+        filters_from_spec(spec)
+
+
 @pytest.mark.parametrize("algo", ALGOS, ids=["gam", "molesp", "bft"])
 def test_timeout_flag_set(algo):
     b = gen.star(10, 3)
     out = algo(b.graph, b.seed_sets, filters=CTPFilters(timeout_s=0.0))
-    assert out.timed_out and not out.completed
-    assert not out.budget_hit and not out.limit_hit
+    assert out.stop == "timeout"
 
 
 @pytest.mark.parametrize(
@@ -141,9 +155,27 @@ def test_timeout_flag_set(algo):
 def test_max_built_budget(algo):
     b = gen.star(8, 2)
     out = algo(b.graph, b.seed_sets, filters=CTPFilters(max_built=100))
-    assert out.timed_out and out.budget_hit and not out.completed
-    assert not out.limit_hit
+    assert out.stop == "budget"
     assert out.stats.built <= 101
+
+
+# What perfbench reads, (exhausted, limit_hit, timed_out), for each stop.
+PERFBENCH_FLAGS = {
+    "exhausted": (True, False, False),
+    "limit": (False, True, False),
+    "timeout": (False, False, True),
+    "budget": (False, False, True),
+}
+
+
+@pytest.mark.parametrize("end", sorted(ENDS))
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_perfbench_flags_follow_stop(algo, end):
+    g, ss = INPUTS["random"]()
+    filters, stop = ENDS[end]
+    out = ALGORITHMS[algo](g, ss, filters=filters)
+    assert out.stop == stop
+    assert (out.exhausted, out.limit_hit, out.timed_out) == PERFBENCH_FLAGS[stop]
 
 
 def test_filters_with_copies():

@@ -23,7 +23,7 @@ from tests.helpers import keys
 def test_gam_complete(bundle):
     expect = keys(enumerate_results(bundle.graph, bundle.seed_sets))
     out = gam(bundle.graph, bundle.seed_sets)
-    assert out.completed
+    assert out.stop == "exhausted"
     assert keys(out) == expect
 
 
@@ -82,7 +82,7 @@ def test_gam_counts_provenances():
 def test_gam_timeout_flag():
     b = gen.star(8, 2)
     out = gam(b.graph, b.seed_sets, filters=CTPFilters(max_built=50))
-    assert out.timed_out and not out.completed
+    assert out.stop == "budget"
 
 
 def test_gam_rejects_empty_seed_set():
@@ -96,4 +96,4 @@ def test_gam_isolated_seed_no_results():
 
     g = LocalGraph([Edge(0, 1, "a", 2)], node_labels={9: "iso"})
     out = gam(g, [[1], [9]])
-    assert out.completed and out.results == []
+    assert out.stop == "exhausted" and out.results == []

@@ -31,13 +31,12 @@ def _random():
 
 INPUTS = {"cdf": _small_cdf, "random": _random}
 
-# Each way a search can end, and the outcome flag that says it did.
+# Each way a search can end, and the ``stop`` that says it did.
 ENDS = {
-    "exhausted": (CTPFilters(), lambda o: o.completed),
-    "limit": (CTPFilters(limit=1), lambda o: o.limit_hit),
-    "max_built": (CTPFilters(max_built=10), lambda o: o.budget_hit),
-    "timeout": (CTPFilters(timeout_s=0.0),
-                lambda o: o.timed_out and not o.budget_hit),
+    "exhausted": (CTPFilters(), "exhausted"),
+    "limit": (CTPFilters(limit=1), "limit"),
+    "max_built": (CTPFilters(max_built=10), "budget"),
+    "timeout": (CTPFilters(timeout_s=0.0), "timeout"),
 }
 
 
@@ -71,11 +70,11 @@ def search_state():
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_search_leaves_no_cycles(algo, end, inputs):
     g, ss = INPUTS[inputs]()
-    filters, ended = ENDS[end]
+    filters, stop = ENDS[end]
 
     def search():
         out = ALGORITHMS[algo](g, ss, filters=filters)
-        assert ended(out)
+        assert out.stop == stop
 
     gc.collect()
     search()

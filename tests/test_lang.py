@@ -2,7 +2,7 @@
 import pytest
 
 from repro.lang import BGP, CTP, Cond, EdgePattern, ParseError, Pred, Query, parse
-from repro.lang.ast import const, typed, var
+from repro.lang.ast import const, var
 
 
 # ---- AST construction ----------------------------------------------------
