@@ -189,8 +189,9 @@ class CTPSearch:
         if self.f.timeout_s is not None:
             self._deadline = t0 + self.f.timeout_s
         try:
-            if self.f.limit == 0:
-                raise _Stop("limit")  # _report tests LIMIT after an add
+            # _report tests LIMIT after an add, and TOP 0 keeps no tree.
+            if self.f.limit == 0 or self.f.top_k == 0:
+                raise _Stop("limit")
             self._search()
             stop = "exhausted"
         except _Stop as s:

@@ -42,6 +42,9 @@ class CTPFilters:
         # The grammar is SCORE sigma [TOP k]: TOP ranks by the score.
         if self.top_k is not None and self.score is None:
             raise ValueError("TOP k needs a SCORE function")
+        for name, k in (("limit", self.limit), ("top_k", self.top_k)):
+            if k is not None and k < 0:
+                raise ValueError(f"{name} must be >= 0, not {k}")
 
     def with_(self, **kw) -> "CTPFilters":
         if "labels" in kw and kw["labels"] is not None:

@@ -4,7 +4,9 @@
     conjunctive graph query engine". Its SQL runs exactly once, as one
     Arrow collect of the columns the query needs (head ∪ CTP seed
     variables), de-duplicated on the driver. A BGP that binds none of
-    them is only tested for emptiness. Spark runs nothing after this;
+    them is only tested for emptiness. The SQL broadcasts node-condition
+    semi-joins and edge self-joins by hint, and a query's BGPs are
+    collected concurrently, one thread each. Spark runs nothing after this;
 (B) for each CTP, each seed set holds the nodes that satisfy its
     predicate (``Pred.matches`` on the ``LocalGraph``) among those a BGP
     binds to the variable, or among all nodes if none does; a bare
@@ -18,9 +20,11 @@ from __future__ import annotations
 
 import itertools
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import pandas as pd
+from pyspark import inheritable_thread_target
 from pyspark.sql import DataFrame, SparkSession
 
 from .. import core
@@ -29,7 +33,7 @@ from ..core.engine import ALL_NODES, SearchOutcome, SearchStats, is_all_nodes
 from ..core.filters import CTPFilters
 from ..core.tree import ResultTree
 from ..graph.model import LocalGraph
-from ..lang.ast import CTP, CTPFilterSpec, Pred, Query
+from ..lang.ast import BGP, CTP, CTPFilterSpec, Pred, Query
 from .bgp import to_sql
 
 SCORE_REGISTRY = {
@@ -131,6 +135,18 @@ class EQLEngine:
             rows += [[*seeds, *base] for seeds in itertools.product(*bindings)]
         return pd.DataFrame(rows, columns=list(dtypes)).astype(dtypes)
 
+    # ---- step (A): one BGP ----------------------------------------------
+    def _bgp_frame(self, bgp: BGP, needed: set[str]) -> pd.DataFrame | bool:
+        """The distinct embeddings of ``bgp`` on the ``needed`` variables it
+        binds, as one Arrow collect; for a BGP that binds none of them,
+        whether it has no embeddings."""
+        df = self.spark.sql(to_sql(bgp))
+        keep = [c for c in df.columns if c in needed]
+        if not keep:
+            return df.isEmpty()
+        # int64 even when empty, so it merges with the CTP tables.
+        return df.select(*keep).toPandas().drop_duplicates().astype("int64")
+
     # ---- full evaluation -------------------------------------------------
     def evaluate(
         self,
@@ -146,7 +162,10 @@ class EQLEngine:
         # to the fixed names edges/nodes/types.
         for name, df in self.dfs.items():
             df.createOrReplaceTempView(name)
-        # (A) BGP evaluation on Catalyst, one Arrow collect per BGP. Def.
+        # (A) BGP evaluation on Catalyst, all of a query's BGPs at once,
+        # one pool worker each. Each target is wrapped on its own, so each
+        # worker gets its own copy of this thread's job group, local
+        # properties and tags; the futures are read in BGP order. Def.
         # 2.10 is set-based, so each BGP is projected onto the variables
         # that can influence the output (head ∪ CTP seed variables) and
         # de-duplicated: unused BGP variables would only multiply the join.
@@ -154,19 +173,17 @@ class EQLEngine:
         needed = set(query.head)
         for c in query.ctps:
             needed.update(p.var for p in c.preds)
-        bound: list[pd.DataFrame] = []
-        guard_empty = False
-        for b in query.bgps:
-            df = self.spark.sql(to_sql(b))
-            keep = [c for c in df.columns if c in needed]
-            if keep:
-                pdf = df.select(*keep).toPandas().drop_duplicates()
-                # int64 even when empty, so it merges with the CTP tables.
-                bound.append(pdf.astype("int64"))
-            else:
-                # A fully-projected-away BGP still acts as a boolean
-                # guard: no embeddings => empty result.
-                guard_empty = guard_empty or df.isEmpty()
+        with ThreadPoolExecutor(max(1, len(query.bgps))) as pool:
+            futures = [
+                pool.submit(inheritable_thread_target(self.spark)(self._bgp_frame),
+                            b, needed)
+                for b in query.bgps
+            ]
+            outs = [f.result() for f in futures]
+        bound = [o for o in outs if isinstance(o, pd.DataFrame)]
+        # A fully-projected-away BGP still acts as a boolean guard: no
+        # embeddings => empty result.
+        guard_empty = any(o is True for o in outs)
 
         # (B) CTP evaluation.
         algo_fn = core.ALGORITHMS[algo]

@@ -13,7 +13,9 @@ def start_spark(
     log_level: str | None = None,
 ):
     """Start (or get) the process's local SparkSession, Arrow on and
-    broadcast joins off (joins take the shuffle path at these scales).
+    automatic broadcast joins off: the BGP SQL picks its broadcast sides
+    by hint (see :mod:`repro.eql.bgp`), and a join without a hint takes
+    the shuffle path.
 
     ``SPARK_DRIVER_MEM``, ``SPARK_MASTER`` (default ``local[*]``) and
     ``SPARK_SHUFFLE_PARTITIONS`` override the caller's values. The JVM reads

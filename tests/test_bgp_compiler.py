@@ -120,6 +120,39 @@ def test_plan_reads_edges_only(text):
         assert len(re.findall(r"\bedges e_\d+\b", sql)) == len(edge_vars), sql
 
 
+def test_edge_self_joins_broadcast_all_but_the_first():
+    """A BGP with k >= 2 edge aliases hints e_1 .. e_{k-1} (a one-edge BGP
+    has no outer hint: see ``test_self_loop_binds_once``)."""
+    (cycle,) = _bgps("(x, a, y) AND (y, b, z) AND (z, c, x)")
+    assert to_sql(cycle).startswith("SELECT /*+ BROADCAST(e_1, e_2) */ e_0.src")
+
+
+def _executed_plan(spark, sql: str) -> str:
+    df = spark.sql(sql)
+    df.collect()
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
+def test_node_condition_plan_is_broadcast_semi_join(spark, graphs):
+    """Automatic broadcast joins are off, yet the hint inside ``EXISTS``
+    makes J1's type condition a broadcast semi-join."""
+    assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+    _register(spark, graphs["yago"])
+    plan = _executed_plan(spark, to_sql(_bgps(J1)[0]))
+    assert re.search(r"BroadcastHashJoin .*LeftSemi", plan), plan
+    assert "SortMergeJoin" not in plan, plan
+
+
+def test_edge_self_join_plan_is_broadcast(spark, graphs):
+    """The two-edge BGP of CDF ``Q_M3`` joins its edges by broadcast."""
+    assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+    _register(spark, graphs["cdf"])
+    (two_edges,) = [b for b in _bgps(Q_M3) if len(b.patterns) == 2]
+    plan = _executed_plan(spark, to_sql(two_edges))
+    assert re.search(r"BroadcastHashJoin .*Inner", plan), plan
+    assert "SortMergeJoin" not in plan, plan
+
+
 # ---- ~ patterns ------------------------------------------------------------
 
 LIKE_LABELS = {1: "50%off", 3: "a_b", 4: "axb", 5: "c:\\dir", 6: "wow!", 7: "it's",

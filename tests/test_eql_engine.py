@@ -1,6 +1,7 @@
 """End-to-end EQL evaluation tests (§3 strategy) on the Figure 1 graph
 and CDF benchmark graphs."""
 import json
+import threading
 
 import duckdb
 import pytest
@@ -177,11 +178,61 @@ def test_limit_zero_gives_empty_answer(fig1_engine):
 
 
 def test_evaluate_leaves_no_persistent_rdds(fig1_engine, spark):
-    """Evaluating and counting a query leaves nothing cached behind."""
+    """Evaluating and counting a query leaves nothing cached behind. The
+    ids are compared, not the count: Spark's ContextCleaner may drop RDDs
+    that earlier tests left persisted (the ``localCheckpoint``s of the
+    path baselines) while the query runs."""
     jsc = spark.sparkContext._jsc
-    before = jsc.getPersistentRDDs().size()
+    before = set(jsc.getPersistentRDDs().keySet())
     fig1_engine.evaluate(parse(Q1)).result.count()
-    assert jsc.getPersistentRDDs().size() == before
+    assert set(jsc.getPersistentRDDs().keySet()) <= before
+
+
+def _guarded(label: str) -> str:
+    """Two BGPs that bind the seeds, plus a guard BGP on ``label`` edges
+    that binds no needed variable."""
+    return f'''
+SELECT x, y, w
+WHERE (x{{type="entrepreneur"}}, "citizenOf", "USA")
+AND (y{{type="politician"}}, "citizenOf", "France")
+AND (a, "{label}", b)
+AND CTP(x, y, *w)
+'''
+
+
+def test_bgp_jobs_run_in_the_callers_job_group(fig1_engine, spark):
+    """The pool workers of step (A) inherit the caller's job group: the
+    group holds at least one job per BGP."""
+    sc = spark.sparkContext
+    query = parse(Q1)
+    assert len(query.bgps) == 3
+    sc.setJobGroup("eql-step-a", "step (A) job group test")
+    try:
+        fig1_engine.evaluate(query)
+    finally:
+        sc._jsc.clearJobGroup()
+    jobs = sc.statusTracker().getJobIdsForGroup("eql-step-a")
+    assert len(jobs) >= len(query.bgps)
+
+
+def test_empty_guard_among_bound_bgps(fig1_engine):
+    """Collected concurrently, an empty guard BGP still empties the answer
+    of a query whose other BGPs bind rows, and the schema stays."""
+    query = parse(_guarded("noSuchLabel"))
+    assert len(query.bgps) == 3
+    empty = fig1_engine.evaluate(query).result
+    full = fig1_engine.evaluate(parse(_guarded("citizenOf"))).result
+    assert empty.count() == 0 and full.count() > 0
+    assert empty.dtypes == full.dtypes == [
+        ("x", "bigint"), ("y", "bigint"), ("w", "string"), ("w_size", "bigint"),
+    ]
+
+
+def test_evaluate_leaves_no_threads(fig1_engine):
+    """The step-(A) pool is shut down inside ``evaluate``."""
+    before = threading.active_count()
+    fig1_engine.evaluate(parse(Q1))
+    assert threading.active_count() == before
 
 
 def test_filters_from_spec_merges_defaults():

@@ -84,6 +84,28 @@ def test_limit_zero_runs_no_search(algo):
     assert out.stats.built == 0
 
 
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_top_zero_runs_no_search(algo):
+    """TOP 0 keeps no tree, so like LIMIT 0 it searches nothing."""
+    b = gen.star(4, 2)
+    out = ALGORITHMS[algo](
+        b.graph, b.seed_sets, filters=CTPFilters(score=size_score, top_k=0)
+    )
+    assert out.results == [] and out.stop == "limit"
+    assert out.stats.built == 0
+
+
+def test_top_one_keeps_its_counters():
+    """TOP k >= 1 runs the whole search: the counters are those of the
+    unranked search."""
+    b = gen.star(4, 2)
+    full = molesp(b.graph, b.seed_sets)
+    top = molesp(b.graph, b.seed_sets, filters=CTPFilters(score=size_score, top_k=1))
+    assert len(top.results) == 1 and top.stop == "exhausted"
+    assert top.stats.built == full.stats.built > 0
+    assert top.stats.results_found == full.stats.results_found
+
+
 def test_limit_one_is_first_result_only():
     b = gen.chain(5)
     out = molesp(b.graph, b.seed_sets, filters=CTPFilters(limit=1))
@@ -134,6 +156,17 @@ def test_top_k_needs_score():
         filters_from_spec(spec)
     f = filters_from_spec(spec, CTPFilters(score=size_score))
     assert f.top_k == 1 and f.score is size_score
+
+
+@pytest.mark.parametrize("kw", [
+    {"limit": -1}, {"score": size_score, "top_k": -1},
+], ids=["limit", "top_k"])
+def test_negative_limit_and_top_k_rejected(kw):
+    """The parser reads no negative LIMIT or TOP; the Python API rejects
+    them too, instead of cutting at the first result or slicing off the
+    last."""
+    with pytest.raises(ValueError, match=">= 0"):
+        CTPFilters(**kw)
 
 
 def test_unknown_score_names_the_known_ones():
