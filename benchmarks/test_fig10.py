@@ -1,7 +1,7 @@
 """Benchmark: Figure 10 — baseline CTP algorithms (BFT family vs GAM).
 
 Each benchmark runs one representative workload of the sweep; the full
-table comes from ``jobs/fig10_baselines.py``.
+table comes from ``python jobs/run.py fig10``.
 """
 import pytest
 

@@ -1,5 +1,5 @@
 """Benchmark: Figure 13 — EQL on CDF m=2 vs baselines (one size point;
-the scaling sweep lives in jobs/fig13_cdf_m2.py)."""
+the scaling sweep comes from ``python jobs/run.py fig13``)."""
 import pytest
 
 from repro.baselines.paths import enumerate_paths, reachable_pairs

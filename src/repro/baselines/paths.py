@@ -8,10 +8,12 @@ graph-query systems (substitutions documented in DESIGN.md §3):
 * :func:`reachable_pairs`                      — Virtuoso-style reachability
   *check* (existence only, no paths returned).
 
-All are frontier-at-a-time DataFrame loops: one join per hop, visited-array
-pruning (no node revisits — simple paths), ``localCheckpoint`` per
-iteration to cut lineage. This is BFS/shortest-path-style traversal over
-distributed edges, expressed in the DataFrame API.
+Both run one frontier-at-a-time DataFrame loop (:func:`_hops`): one join
+per hop, with visited-array pruning for paths (no node revisits — simple
+paths) and the reached pairs as the visited set for reachability. This is
+BFS/shortest-path-style traversal over distributed edges, expressed in the
+DataFrame API. Each returns a checkpoint, which the caller passes to
+:func:`release` when done with it.
 """
 from __future__ import annotations
 
@@ -44,6 +46,37 @@ def _as_id_df(spark: SparkSession, nodes, name: str) -> DataFrame:
     ).distinct()
 
 
+def release(df: DataFrame) -> None:
+    """Unpersist the blocks of a ``localCheckpoint``: ``DataFrame.unpersist``
+    does not reach them, so they would stay until Spark's ContextCleaner
+    happened to drop them. A frame that is no checkpoint is left alone."""
+    plan = df._jdf.queryExecution().analyzed()
+    if plan.nodeName() == "LogicalRDD":
+        plan.rdd().unpersist(False)
+
+
+def _replace(old: DataFrame, new: DataFrame) -> DataFrame:
+    """Checkpoint ``new`` eagerly, then release ``old``, which it replaces."""
+    new = new.localCheckpoint(eager=True)
+    release(old)
+    return new
+
+
+def _hops(frontier, acc, max_len, step, collect) -> DataFrame:
+    """The frontier loop both baselines share. Each hop replaces the
+    frontier by ``step(frontier, acc)`` and, unless that is empty, the
+    accumulator by ``acc`` plus ``collect(frontier, hop)``. Each new frame
+    is checkpointed at once and the one it replaces released, so the
+    returned accumulator is the only checkpoint left."""
+    for hop in range(1, max_len + 1):
+        frontier = _replace(frontier, step(frontier, acc))
+        if frontier.isEmpty():
+            break
+        acc = _replace(acc, acc.unionByName(collect(frontier, hop)))
+    release(frontier)
+    return acc
+
+
 def enumerate_paths(
     spark: SparkSession,
     edges: DataFrame,
@@ -55,19 +88,19 @@ def enumerate_paths(
     labels: frozenset[str] | None = None,
 ) -> DataFrame:
     """All simple paths (no repeated node) of 1..max_len edges from a
-    source to a target. Returns (src, dst, edges array<long>, hops)."""
+    source to a target. Returns (src, dst, edges array<long>, hops), a
+    checkpoint for the caller to :func:`release`."""
     rel = _edge_relation(edges, directed, labels)
-    src_df = _as_id_df(spark, sources, "s")
     dst_df = _as_id_df(spark, targets, "t")
-    frontier = src_df.select(
+    frontier = _as_id_df(spark, sources, "s").select(
         F.col("s").alias("start"),
         F.col("s").alias("cur"),
         F.array().cast("array<long>").alias("path"),
         F.array(F.col("s")).alias("visited"),
     )
-    out: DataFrame | None = None
-    for hop in range(1, max_len + 1):
-        stepped = (
+
+    def step(frontier, _):
+        return (
             frontier.join(rel, frontier.cur == rel.u)
             .where(~F.array_contains(F.col("visited"), F.col("v")))
             .select(
@@ -77,25 +110,19 @@ def enumerate_paths(
                 F.concat(F.col("visited"), F.array(F.col("v"))).alias("visited"),
             )
         )
-        frontier = stepped.localCheckpoint(eager=True)
-        if frontier.isEmpty():
-            break
-        found = (
-            frontier.join(dst_df, frontier.cur == dst_df.t)
-            .select(
-                F.col("start").alias("src"),
-                F.col("cur").alias("dst"),
-                F.col("path").alias("edges"),
-                F.lit(hop).alias("hops"),
-            )
+
+    def collect(frontier, hop):
+        return frontier.join(dst_df, frontier.cur == dst_df.t).select(
+            F.col("start").alias("src"),
+            F.col("cur").alias("dst"),
+            F.col("path").alias("edges"),
+            F.lit(hop).alias("hops"),
         )
-        out = found if out is None else out.unionByName(found)
-        out = out.localCheckpoint(eager=True)
-    if out is None:
-        return spark.createDataFrame(
-            [], schema="src long, dst long, edges array<long>, hops int"
-        )
-    return out
+
+    found = spark.createDataFrame(
+        [], schema="src long, dst long, edges array<long>, hops int"
+    )
+    return _hops(frontier, found, max_len, step, collect)
 
 
 def reachable_pairs(
@@ -109,38 +136,40 @@ def reachable_pairs(
     labels: frozenset[str] | None = None,
 ) -> DataFrame:
     """Existence-only reachability: (src, dst, dist) with the first hop
-    count at which dst became reachable from src. No paths returned —
-    the Virtuoso-SPARQL/-SQL contract."""
+    count at which dst became reachable from src, a checkpoint for the
+    caller to :func:`release`. No paths returned — the Virtuoso-SPARQL/-SQL
+    contract."""
     rel = _edge_relation(edges, directed, labels)
-    src_df = _as_id_df(spark, sources, "s")
-    dst_df = _as_id_df(spark, targets, "t")
-    frontier = src_df.select(F.col("s").alias("start"), F.col("s").alias("cur"))
-    visited = frontier
-    out: DataFrame | None = None
-    for hop in range(1, max_len + 1):
-        nxt = (
+    frontier = _as_id_df(spark, sources, "s").select(
+        F.col("s").alias("start"), F.col("s").alias("cur")
+    )
+
+    def step(frontier, reached):
+        # The reached pairs are the visited set; a source is visited from
+        # itself at distance 0.
+        return (
             frontier.join(rel, frontier.cur == rel.u)
             .select("start", F.col("v").alias("cur"))
+            .where(F.col("start") != F.col("cur"))
             .distinct()
-            .join(visited, on=["start", "cur"], how="left_anti")
+            .join(reached, on=["start", "cur"], how="left_anti")
         )
-        frontier = nxt.localCheckpoint(eager=True)
-        if frontier.isEmpty():
-            break
-        visited = visited.unionByName(frontier).localCheckpoint(eager=True)
-        found = (
-            frontier.join(dst_df, frontier.cur == dst_df.t)
-            .select(
-                F.col("start").alias("src"),
-                F.col("cur").alias("dst"),
-                F.lit(hop).alias("dist"),
-            )
-        )
-        out = found if out is None else out.unionByName(found)
-        out = out.localCheckpoint(eager=True)
-    if out is None:
-        return spark.createDataFrame([], schema="src long, dst long, dist int")
-    return out
+
+    def collect(frontier, hop):
+        return frontier.withColumn("dist", F.lit(hop))
+
+    reached = _hops(
+        frontier,
+        spark.createDataFrame([], schema="start long, cur long, dist int"),
+        max_len, step, collect,
+    )
+    dst_df = _as_id_df(spark, targets, "t")
+    return _replace(
+        reached,
+        reached.join(dst_df, reached.cur == dst_df.t).select(
+            F.col("start").alias("src"), F.col("cur").alias("dst"), "dist"
+        ),
+    )
 
 
 def stitch_paths_m3(

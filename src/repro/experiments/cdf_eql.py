@@ -20,7 +20,9 @@ import time
 
 import pandas as pd
 
-from ..baselines.paths import enumerate_paths, reachable_pairs, stitch_paths_m3
+from ..baselines.paths import (
+    enumerate_paths, reachable_pairs, release, stitch_paths_m3,
+)
 from ..eql import EQLEngine
 from ..graph import generators as gen
 from ..lang import parse
@@ -72,16 +74,7 @@ def run(
             )
             max_len = s_l + 1
 
-            def time_paths(directed, labels=None):
-                t0 = time.monotonic()
-                df = enumerate_paths(
-                    spark, edges_df, tl_nodes, bl_nodes, max_len,
-                    directed=directed, labels=labels,
-                )
-                n = (df if m == 2 else stitch_paths_m3(df, df)).count()
-                return n, time.monotonic() - t0
-
-            def record(system, n, dt, note=""):
+            def record(system, n, dt, note):
                 rows.append(
                     {
                         "m": m, "S_L": s_l, "N_T": n_t, "N_L": n_l,
@@ -90,18 +83,21 @@ def run(
                     }
                 )
 
-            t0 = time.monotonic()
-            n = reachable_pairs(
-                spark, edges_df, tl_nodes, bl_nodes, max_len
-            ).count()
-            record("Virtuoso-sub", n, time.monotonic() - t0, "check only")
-
-            n, dt = time_paths(True)
-            record("Postgres-sub", n, dt, "paths")
-            n, dt = time_paths(True, labels=frozenset({"L"}))
-            record("JEDI-sub", n, dt, "label-constrained")
-            n, dt = time_paths(False)
-            record("Neo4j-sub", n, dt, "undirected")
+            for system, search, kwargs, note in (
+                ("Virtuoso-sub", reachable_pairs, {}, "check only"),
+                ("Postgres-sub", enumerate_paths, {"directed": True}, "paths"),
+                ("JEDI-sub", enumerate_paths,
+                 {"directed": True, "labels": frozenset({"L"})},
+                 "label-constrained"),
+                ("Neo4j-sub", enumerate_paths, {"directed": False},
+                 "undirected"),
+            ):
+                t0 = time.monotonic()
+                df = search(spark, edges_df, tl_nodes, bl_nodes, max_len, **kwargs)
+                stitch = m == 3 and search is enumerate_paths
+                n = (stitch_paths_m3(df, df) if stitch else df).count()
+                release(df)
+                record(system, n, time.monotonic() - t0, note)
 
             for label, qtext in (
                 ("UNI-MoLESP", query_text.replace("*l)", "*l) UNI")),

@@ -16,30 +16,22 @@ from ..graph import generators as gen
 ALGOS = ["BFT", "BFT-M", "BFT-AM", "GAM"]
 
 
-def workloads(full: bool = False):
-    """(family, params-string, bundle) triples, sized for the container."""
-    out = []
-    lines = [(3, 2), (5, 2), (10, 2)] + ([(10, 4)] if full else [])
-    for m, n_l in lines:
-        out.append(("Line", f"m={m},nL={n_l}", gen.line(m, n_l)))
-    combs = [(3, 1, 2, 2), (4, 1, 2, 2), (5, 1, 2, 2)] + (
-        [(6, 1, 3, 3)] if full else []
-    )
-    for p in combs:
-        out.append(
+def sweep(algos, lines, combs, stars, *, timeout_s: float) -> pd.DataFrame:
+    """Run every algorithm of ``algos`` on Line(m, nL), Comb(nA, nS, sL,
+    dBA) and Star(m, sL) graphs of the given sizes, one row per pair;
+    Fig 10 and Fig 11 differ only in their algorithms and sizes."""
+    bundles = (
+        [("Line", f"m={m},nL={n_l}", gen.line(m, n_l)) for m, n_l in lines]
+        + [
             ("Comb", f"nA={p[0]},nS={p[1]},sL={p[2]},dBA={p[3]}", gen.comb(*p))
-        )
-    stars = [(4, 2), (6, 2), (8, 2)] + ([(10, 2)] if full else [])
-    for m, s_l in stars:
-        out.append(("Star", f"m={m},sL={s_l}", gen.star(m, s_l)))
-    return out
-
-
-def run(*, timeout_s: float = 10.0, full: bool = False) -> pd.DataFrame:
-    rows = []
+            for p in combs
+        ]
+        + [("Star", f"m={m},sL={s_l}", gen.star(m, s_l)) for m, s_l in stars]
+    )
     filters = CTPFilters(timeout_s=timeout_s)
-    for family, params, bundle in workloads(full):
-        for algo in ALGOS:
+    rows = []
+    for family, params, bundle in bundles:
+        for algo in algos:
             out = ALGORITHMS[algo](bundle.graph, bundle.seed_sets, filters=filters)
             rows.append(
                 {
@@ -55,3 +47,15 @@ def run(*, timeout_s: float = 10.0, full: bool = False) -> pd.DataFrame:
                 }
             )
     return pd.DataFrame(rows)
+
+
+def run(*, timeout_s: float = 10.0, full: bool = False) -> pd.DataFrame:
+    """The sweep at container size; ``full`` adds one larger instance per
+    family."""
+    return sweep(
+        ALGOS,
+        [(3, 2), (5, 2), (10, 2)] + ([(10, 4)] if full else []),
+        [(3, 1, 2, 2), (4, 1, 2, 2), (5, 1, 2, 2)] + ([(6, 1, 3, 3)] if full else []),
+        [(4, 2), (6, 2), (8, 2)] + ([(10, 2)] if full else []),
+        timeout_s=timeout_s,
+    )

@@ -18,7 +18,7 @@ import time
 
 import pandas as pd
 
-from ..baselines.paths import enumerate_paths, reachable_pairs
+from ..baselines.paths import enumerate_paths, reachable_pairs, release
 from ..core.filters import CTPFilters
 from ..eql import EQLEngine
 from ..graph.random_graphs import yago_lite
@@ -83,20 +83,16 @@ def run(spark, *, scale: float = 0.25, timeout_s: float = 60.0) -> pd.DataFrame:
         dst = ss[1] if isinstance(ss[1], list) else sorted(g.nodes)
         max_len = 2 if name != "J1" else 3
 
-        t0 = time.monotonic()
-        n = enumerate_paths(
-            spark, edges_df, src, dst, max_len, directed=True
-        ).count()
-        record(name, "JEDI-sub", time.monotonic() - t0, n, "directed paths")
-
-        t0 = time.monotonic()
-        n = reachable_pairs(spark, edges_df, src, dst, max_len).count()
-        record(name, "Virtuoso-sub", time.monotonic() - t0, n, "check only")
-
-        t0 = time.monotonic()
-        n = enumerate_paths(
-            spark, edges_df, src, dst, max_len, directed=False
-        ).count()
-        record(name, "Neo4j-sub", time.monotonic() - t0, n, "undirected paths")
+        for system, search, kwargs, note in (
+            ("JEDI-sub", enumerate_paths, {"directed": True}, "directed paths"),
+            ("Virtuoso-sub", reachable_pairs, {}, "check only"),
+            ("Neo4j-sub", enumerate_paths, {"directed": False},
+             "undirected paths"),
+        ):
+            t0 = time.monotonic()
+            df = search(spark, edges_df, src, dst, max_len, **kwargs)
+            n = df.count()
+            release(df)
+            record(name, system, time.monotonic() - t0, n, note)
     edges_df.unpersist()
     return pd.DataFrame(rows)

@@ -1,2 +1,2 @@
 """Graph substrate: data model, paper benchmark generators, random graphs."""
-from .model import Adj, Edge, GraphBundle, LocalGraph, from_spark  # noqa: F401
+from .model import Adj, Edge, GraphBundle, LocalGraph  # noqa: F401

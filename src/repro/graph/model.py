@@ -142,29 +142,6 @@ class LocalGraph:
         }
 
 
-def from_spark(
-    edges: DataFrame,
-    nodes: DataFrame | None = None,
-    types: DataFrame | None = None,
-) -> LocalGraph:
-    """Collect Spark graph tables into a ``LocalGraph`` (the paper's
-    load-in-memory step before CTP evaluation)."""
-    es = [
-        Edge(int(r["id"]), int(r["src"]), str(r["label"]), int(r["dst"]))
-        for r in edges.select("id", "src", "label", "dst").collect()
-    ]
-    labels = (
-        {int(r["id"]): str(r["label"]) for r in nodes.collect()}
-        if nodes is not None
-        else None
-    )
-    tmap: dict[int, set[str]] = {}
-    if types is not None:
-        for r in types.collect():
-            tmap.setdefault(int(r["id"]), set()).add(str(r["type"]))
-    return LocalGraph(es, node_labels=labels, node_types=tmap)
-
-
 @dataclass
 class GraphBundle:
     """A LocalGraph together with named seed sets (generator output)."""

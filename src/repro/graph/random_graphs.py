@@ -20,17 +20,17 @@ def random_graph(
     *,
     n_labels: int = 3,
     seed: int = 0,
-    connected_bias: bool = True,
 ) -> LocalGraph:
     """Uniform-ish random multigraph without self-loops.
 
-    With ``connected_bias`` a spanning backbone is laid down first so small
-    instances are usually connected (CTP tests need reachable seeds)."""
+    A spanning backbone is laid down first, so the graph is connected (CTP
+    tests need reachable seeds); it has ``max(n_edges, n_nodes - 1)``
+    edges."""
     rng = np.random.default_rng(seed)
     labels = [f"l{i}" for i in range(n_labels)]
     edges: list[Edge] = []
     eid = 0
-    if connected_bias and n_nodes > 1:
+    if n_nodes > 1:
         perm = rng.permutation(n_nodes)
         for i in range(1, n_nodes):
             u = int(perm[int(rng.integers(i))])
@@ -44,7 +44,7 @@ def random_graph(
         edges.append(Edge(eid, u, labels[int(rng.integers(n_labels))], v))
         eid += 1
     node_labels = {n: f"n{n}" for n in range(n_nodes)}
-    return LocalGraph(edges[:n_edges] if not connected_bias else edges, node_labels)
+    return LocalGraph(edges, node_labels)
 
 
 def scale_free(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 _autovar = itertools.count()
 
@@ -87,6 +87,29 @@ class EdgePattern:
     d: Pred
 
 
+def connected_groups(patterns) -> list[list[EdgePattern]]:
+    """The edge patterns in maximal groups connected through shared
+    variables (Def. 2.4). Each group keeps the order in which its patterns
+    joined it; a pattern that links groups merges the later ones into the
+    first."""
+    groups: list[list[EdgePattern]] = []
+    group_vars: list[set[str]] = []
+    for p in patterns:
+        vs = {p.s.var, p.e.var, p.d.var}
+        hits = [i for i, gv in enumerate(group_vars) if gv & vs]
+        if not hits:
+            groups.append([p])
+            group_vars.append(vs)
+            continue
+        first = hits[0]
+        groups[first].append(p)
+        group_vars[first] |= vs
+        for i in reversed(hits[1:]):
+            groups[first].extend(groups.pop(i))
+            group_vars[first] |= group_vars.pop(i)
+    return groups
+
+
 @dataclass(frozen=True)
 class BGP:
     """A connected set of edge patterns (Def. 2.4)."""
@@ -96,25 +119,8 @@ class BGP:
     def __post_init__(self) -> None:
         if not self.patterns:
             raise ValueError("BGP needs at least one edge pattern")
-        if len(self.patterns) > 1:
-            # Connectivity check: every pattern shares a variable with
-            # another pattern (Def. 2.4).
-            def vars_of(p: EdgePattern) -> set[str]:
-                return {p.s.var, p.e.var, p.d.var}
-
-            groups = [vars_of(p) for p in self.patterns]
-            merged = [groups[0]]
-            rest = groups[1:]
-            progress = True
-            while rest and progress:
-                progress = False
-                for g in list(rest):
-                    if any(g & m for m in merged):
-                        merged[0] |= g
-                        rest.remove(g)
-                        progress = True
-            if rest:
-                raise ValueError("BGP edge patterns are not connected")
+        if len(connected_groups(self.patterns)) > 1:
+            raise ValueError("BGP edge patterns are not connected")
 
     def variables(self) -> list[str]:
         out: list[str] = []

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import re
 
-from .ast import BGP, CTP, Cond, CTPFilterSpec, EdgePattern, Pred, Query, const
+from .ast import (
+    BGP, CTP, Cond, CTPFilterSpec, EdgePattern, Pred, Query, connected_groups, const,
+)
 
 _TOKEN = re.compile(
     r"""
@@ -206,26 +208,5 @@ def parse(text: str) -> Query:
         if t is None:
             break
         ts.expect("AND")
-    return Query(tuple(head), _group_bgps(edge_patterns), tuple(ctps))
-
-
-def _group_bgps(patterns: list[EdgePattern]) -> tuple[BGP, ...]:
-    """Group edge patterns into maximal variable-connected BGPs."""
-    if not patterns:
-        return ()
-    groups: list[list[EdgePattern]] = []
-    group_vars: list[set[str]] = []
-    for p in patterns:
-        vs = {p.s.var, p.e.var, p.d.var}
-        hits = [i for i, gv in enumerate(group_vars) if gv & vs]
-        if not hits:
-            groups.append([p])
-            group_vars.append(set(vs))
-        else:
-            first = hits[0]
-            groups[first].append(p)
-            group_vars[first] |= vs
-            for i in reversed(hits[1:]):
-                groups[first].extend(groups.pop(i))
-                group_vars[first] |= group_vars.pop(i)
-    return tuple(BGP(tuple(g)) for g in groups)
+    bgps = tuple(BGP(tuple(g)) for g in connected_groups(edge_patterns))
+    return Query(tuple(head), bgps, tuple(ctps))

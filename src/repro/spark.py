@@ -1,5 +1,5 @@
-"""The local SparkSession bootstrap of the test suite and the ``jobs/``
-entry points; each caller passes its own settings."""
+"""The local SparkSession bootstrap of the test suite and of
+``jobs/run.py``; each caller passes its own settings."""
 from __future__ import annotations
 
 import os

@@ -1,7 +1,9 @@
 """Tests for the Spark path/reachability baselines (§5.2 substitutes)."""
 import pytest
 
-from repro.baselines import enumerate_paths, reachable_pairs, stitch_paths_m3
+from repro.baselines import (
+    enumerate_paths, reachable_pairs, release, stitch_paths_m3,
+)
 from repro.graph import generators as gen
 from repro.graph.model import Edge, LocalGraph
 
@@ -110,3 +112,25 @@ def test_empty_frontier_terminates(spark):
     edges = g.to_spark(spark)["edges"]
     out = enumerate_paths(spark, edges, [2], [1], max_len=5)  # wrong direction
     assert out.count() == 0
+
+
+def test_returned_frame_is_the_only_rdd_left_persisted(spark, diamond):
+    """Each hop releases the frontier and accumulator it replaces, so
+    releasing the returned frame leaves no persistent RDD behind. (Checked
+    as "none new" rather than as equality, since Spark's ContextCleaner may
+    drop other tests' RDDs meanwhile.)"""
+    g, edges = diamond
+    jsc = spark.sparkContext._jsc
+    before = set(jsc.getPersistentRDDs().keySet())
+    for search, kwargs in (
+        (enumerate_paths, {}),
+        (enumerate_paths, {"directed": False}),
+        (enumerate_paths, {"labels": frozenset({"a"})}),
+        (reachable_pairs, {}),
+        (reachable_pairs, {"directed": False}),
+        (reachable_pairs, {"labels": frozenset({"a"})}),
+    ):
+        out = search(spark, edges, [1, 2], [3, 4], max_len=2, **kwargs)
+        assert out.count() > 0
+        release(out)
+    assert set(jsc.getPersistentRDDs().keySet()) - before == set()

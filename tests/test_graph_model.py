@@ -1,7 +1,7 @@
 """Unit tests for the graph data model (repro.graph.model)."""
 import pytest
 
-from repro.graph.model import Adj, Edge, LocalGraph, from_spark
+from repro.graph.model import Adj, Edge, LocalGraph
 
 
 @pytest.fixture()
@@ -92,14 +92,3 @@ def test_every_edge_endpoint_is_one_node_row():
     assert sorted(ids) == [1, 2, 3, 4, 5]
     for e in g.edges.values():
         assert ids.count(e.src) == ids.count(e.dst) == 1
-
-
-def test_spark_round_trip(spark, tiny):
-    dfs = tiny.to_spark(spark)
-    back = from_spark(dfs["edges"], dfs["nodes"], dfs["types"])
-    assert back.nodes == tiny.nodes
-    assert {(e.id, e.src, e.label, e.dst) for e in back.edges.values()} == {
-        (e.id, e.src, e.label, e.dst) for e in tiny.edges.values()
-    }
-    assert back.node_types == tiny.node_types
-    assert back.node_labels == tiny.node_labels

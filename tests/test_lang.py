@@ -95,12 +95,14 @@ def test_parse_q1_like():
 
 
 def test_parse_groups_connected_patterns_into_one_bgp():
-    q = parse('''
-        SELECT x
-        WHERE (x, "a", y) AND (y, "b", z) AND CTP(x, z, *w)
-    ''')
-    assert len(q.bgps) == 1
-    assert len(q.bgps[0].patterns) == 2
+    for body, n_patterns in (
+        ('(x, "a", y) AND (y, "b", z)', 2),
+        # The end patterns connect only through the middle one, written last.
+        ('(x, "a", y) AND (z, "c", v) AND (y, "b", z)', 3),
+    ):
+        q = parse(f"SELECT x WHERE {body} AND CTP(x, z, *w)")
+        assert len(q.bgps) == 1
+        assert len(q.bgps[0].patterns) == n_patterns
 
 
 def test_parse_filters():
