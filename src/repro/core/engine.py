@@ -37,6 +37,13 @@ queued twice: GAM's ``rooted_hist`` admits each (edges, root) pair once,
 ESP's ``hist`` each edge set once, and a LESP exemption needs the edges
 to be new at their root.
 
+Merge: a new tree is merged with the trees registered at its root. A
+walk over them is skipped when every seed signature registered at the
+root overlaps the seed sets the new tree holds outside the root, since
+Merge2 then rejects every peer, as at a hub that is not a seed. The
+skipped pairs still count in ``merges_tried``, which therefore counts
+pairs Merge considered, whether walked or rejected in bulk.
+
 The search makes no reference cycles: trees, queue entries and their
 iterators refer to nothing that refers back to them, and an iterator
 captures the tree's fields, not the search. Everything it builds is
@@ -88,7 +95,7 @@ class SearchStats:
     kept: int = 0           # provenances that survived isNew
     pruned: int = 0
     grows: int = 0          # Grow pops executed
-    merges_tried: int = 0
+    merges_tried: int = 0   # pairs Merge considered, a skipped walk's included
     merges_done: int = 0
     results_found: int = 0
     elapsed_s: float = 0.0
@@ -225,6 +232,7 @@ class RootedSearch(CTPSearch):
         self.rooted_hist: set[tuple[frozenset[int], int]] = set()  # GAM history
         self.rooted_in: dict[int, list[RTree]] = {}
         self.rooted_edge_sets: dict[int, set[frozenset[int]]] = {}
+        self.rooted_sats: dict[int, set[int]] = {}   # root -> sats in rooted_in
         self.ss: dict[int, int] = {}                         # seed signatures
         self.queues: dict[int, list] = {}                    # sat -> heap
         self.pending: dict[int, int] = {}     # multi-queue: sat -> candidates left
@@ -235,17 +243,17 @@ class RootedSearch(CTPSearch):
     # ---- small helpers ---------------------------------------------------
     def _grow_adj(self, n: int) -> tuple[Adj, ...]:
         """Edges Grow may traverse from a tree rooted at ``n``. LABEL and
-        UNI depend on the node only, so each adjacency is filtered once."""
+        UNI depend on the node only, so each adjacency is filtered once.
+        UNI only traverses edges pointing from the new root at ``a.other``
+        *into* the tree, so results are root-directed; the graph keeps
+        that filtered adjacency across searches (``in_adj_of``)."""
         adj = self.adj_cache.get(n)
         if adj is None:
+            adj = self.g.in_adj_of(n) if self.f.uni else self.g.adj_of(n)
             labels = self.f.labels
-            adj = self.adj_cache[n] = tuple(
-                a for a in self.g.adj_of(n)
-                if (labels is None or a.label in labels)
-                # UNI: only traverse edges pointing from the new root at
-                # a.other *into* the tree, so results are root-directed.
-                and not (self.f.uni and a.outgoing)
-            )
+            if labels is not None:
+                adj = tuple(a for a in adj if a.label in labels)
+            self.adj_cache[n] = adj
         return adj
 
     # ---- Algorithm 4: isNew ---------------------------------------------
@@ -301,8 +309,7 @@ class RootedSearch(CTPSearch):
             # result (§4.9), so expansion continues.
             if not self.has_n_sets:
                 return True
-        self.rooted_in.setdefault(t.root, []).append(t)
-        self.rooted_edge_sets.setdefault(t.root, set()).add(t.edges)
+        self._add_rooted(t)
         if not t.no_grow:
             self._push_grows(t)
         return False
@@ -311,8 +318,20 @@ class RootedSearch(CTPSearch):
         """Mo copies bypass the edge-set history (their edge set is already
         in it) and only deduplicate against trees rooted at the same node."""
         self.stats.kept += 1
-        self.rooted_in.setdefault(t.root, []).append(t)
-        self.rooted_edge_sets.setdefault(t.root, set()).add(t.edges)
+        self._add_rooted(t)
+
+    def _add_rooted(self, t: RTree) -> None:
+        """Make ``t`` a Merge partner of the later trees rooted at its root."""
+        root = t.root
+        peers = self.rooted_in.get(root)
+        if peers is None:
+            self.rooted_in[root] = [t]
+            self.rooted_edge_sets[root] = {t.edges}
+            self.rooted_sats[root] = {t.sat}
+        else:
+            peers.append(t)
+            self.rooted_edge_sets[root].add(t.edges)
+            self.rooted_sats[root].add(t.sat)
 
     def _mo_copies(self, t: RTree, gained: bool) -> list[RTree]:
         if not self.cfg.mo or not gained:
@@ -444,6 +463,21 @@ class RootedSearch(CTPSearch):
                 # Merge1: the trees share only the root, which both hold.
                 others = cur.nodes - {root}
                 peers = self.rooted_in[root]
+                # If every tree at the root fails Merge2 with cur, as at a
+                # hub that is not a seed, the walk is skipped. Its pairs
+                # (peers holds cur itself) still count as tried, and the
+                # budget check the first peer would run still runs, so
+                # the stop lands where a walk would put it.
+                for s in self.rooted_sats[root]:
+                    if not blocked & s:
+                        break
+                else:
+                    if len(peers) > 1:
+                        if stats.built != checked:
+                            self._check_budget()
+                            checked = stats.built
+                        tried += len(peers) - 1
+                    continue
                 # Trees registered during the walk are not merged with cur
                 # here: they meet it from their own turn in the work list.
                 for p in islice(peers, len(peers)):

@@ -3,10 +3,11 @@
 (A) each BGP compiles to SQL and is evaluated by Spark — the "existing
     conjunctive graph query engine". Its SQL runs exactly once, as one
     Arrow collect of the columns the query needs (head ∪ CTP seed
-    variables), de-duplicated on the driver. A BGP that binds none of
-    them is only tested for emptiness. The SQL broadcasts node-condition
-    semi-joins and edge self-joins by hint, and a query's BGPs are
-    collected concurrently, one thread each. Spark runs nothing after this;
+    variables), projected in the SQL and de-duplicated on the driver. A
+    BGP that binds none of them is only tested for emptiness. The SQL
+    broadcasts node-condition semi-joins and edge self-joins by hint, and
+    a query's BGPs are collected concurrently, one thread each. Spark runs
+    nothing after this;
 (B) for each CTP, each seed set holds the nodes that satisfy its
     predicate (``Pred.matches`` on the ``LocalGraph``) among those a BGP
     binds to the variable, or among all nodes if none does; a bare
@@ -14,7 +15,8 @@
     runs with filters pushed;
 (C) the CTP tables and the BGP frames, pandas frames on the driver, are
     natural-joined, projected on the head and de-duplicated. One
-    ``createDataFrame`` hands the answer to Spark. Nothing is cached.
+    ``createDataFrame``, coalesced to one partition, hands the answer to
+    Spark. Nothing is cached.
 """
 from __future__ import annotations
 
@@ -71,8 +73,8 @@ def filters_from_spec(
 class EQLReport:
     """Evaluation artifacts: per CTP its table (a pandas frame), seed sets
     and search outcome, plus the answer of step (C). ``result`` is a Spark
-    DataFrame made from the driver-side answer; its schema is the same
-    whether or not it is empty."""
+    DataFrame of one partition made from the driver-side answer; its
+    schema is the same whether or not it is empty."""
 
     ctp_tables: list[pd.DataFrame] = field(default_factory=list)
     seed_sets: list[list] = field(default_factory=list)
@@ -140,12 +142,12 @@ class EQLEngine:
         """The distinct embeddings of ``bgp`` on the ``needed`` variables it
         binds, as one Arrow collect; for a BGP that binds none of them,
         whether it has no embeddings."""
-        df = self.spark.sql(to_sql(bgp))
-        keep = [c for c in df.columns if c in needed]
+        keep = [v for v in bgp.variables() if v in needed]
         if not keep:
-            return df.isEmpty()
+            return self.spark.sql(to_sql(bgp)).isEmpty()
+        df = self.spark.sql(to_sql(bgp, project=keep))
         # int64 even when empty, so it merges with the CTP tables.
-        return df.select(*keep).toPandas().drop_duplicates().astype("int64")
+        return df.toPandas().drop_duplicates().astype("int64")
 
     # ---- full evaluation -------------------------------------------------
     def evaluate(
@@ -222,9 +224,11 @@ class EQLEngine:
         answer = joined[list(schema)].drop_duplicates()
         if guard_empty:
             answer = answer.iloc[:0]
+        # One partition: the answer is already on the driver, and a count
+        # of it is then one Spark job instead of two.
         report.result = self.spark.createDataFrame(
             answer, schema=", ".join(f"{c} {t}" for c, t in schema.items())
-        )
+        ).coalesce(1)
         return report
 
 

@@ -80,6 +80,7 @@ class LocalGraph:
             for n, entries in adj.items()
         }
         self.degree: dict[int, int] = {n: len(self.adj.get(n, ())) for n in nodes}
+        self._in_adj: dict[int, tuple[Adj, ...]] = {}   # see in_adj_of
 
     # ---- convenience -----------------------------------------------------
     def label(self, n: int) -> str:
@@ -90,6 +91,18 @@ class LocalGraph:
 
     def adj_of(self, n: int) -> tuple[Adj, ...]:
         return self.adj.get(n, ())
+
+    def in_adj_of(self, n: int) -> tuple[Adj, ...]:
+        """The entries of :meth:`adj_of` whose edge points into ``n``, in
+        the same order: the edges a UNI search may Grow along from a tree
+        rooted at ``n``. Each is built on first use and kept, so building
+        the graph pays nothing for it and later searches reuse it."""
+        adj = self._in_adj.get(n)
+        if adj is None:
+            adj = self._in_adj[n] = tuple(
+                a for a in self.adj_of(n) if not a.outgoing
+            )
+        return adj
 
     def edge_endpoints(self, eid: int) -> tuple[int, int]:
         e = self.edges[eid]

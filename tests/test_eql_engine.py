@@ -188,6 +188,34 @@ def test_evaluate_leaves_no_persistent_rdds(fig1_engine, spark):
     assert set(jsc.getPersistentRDDs().keySet()) <= before
 
 
+def test_answer_is_one_partition_counted_in_one_job(fig1_engine, spark):
+    """The answer is handed to Spark as one partition, so counting it is
+    one Spark job, and it holds every row of the answer."""
+    sc = spark.sparkContext
+    result = fig1_engine.evaluate(parse(Q1)).result
+    assert result.rdd.getNumPartitions() == 1
+    sc.setJobGroup("eql-count", "count of one answer")
+    try:
+        n = result.count()
+    finally:
+        sc._jsc.clearJobGroup()
+    assert len(sc.statusTracker().getJobIdsForGroup("eql-count")) == 1
+    assert n == len(result.toPandas()) > 0
+
+
+@pytest.mark.parametrize("text", [Q1, 'SELECT x, w WHERE (x, e, y) AND CTP(x, "USA", *w)'],
+                         ids=["q1", "unneeded_vars"])
+def test_bgp_frame_holds_only_needed_variables(fig1_engine, text):
+    """Each BGP frame has exactly the needed variables its BGP binds, in
+    the BGP's variable order: the SQL projects them."""
+    q = parse(text)
+    needed = set(q.head) | {p.var for c in q.ctps for p in c.preds}
+    for bgp in q.bgps:
+        frame = fig1_engine._bgp_frame(bgp, needed)
+        assert list(frame.columns) == [v for v in bgp.variables() if v in needed]
+        assert not frame.duplicated().any()
+
+
 def _guarded(label: str) -> str:
     """Two BGPs that bind the seeds, plus a guard BGP on ``label`` edges
     that binds no needed variable."""

@@ -66,6 +66,24 @@ def test_isolated_node_from_labels():
     assert g.degree[7] == 0
 
 
+def test_in_adjacency_is_adjacency_into_the_node():
+    """Parallel edges both ways, a self-loop (one entry each way at its
+    node) and an isolated node: ``in_adj_of`` keeps exactly the incoming
+    entries of ``adj_of``, in its order, and keeps them after first use."""
+    g = LocalGraph(
+        [Edge(5, 2, "b", 1), Edge(0, 1, "a", 2), Edge(1, 1, "b", 2),
+         Edge(2, 2, "a", 1), Edge(3, 3, "c", 3), Edge(4, 2, "a", 3)],
+        node_labels={7: "iso"},
+    )
+    for n in sorted(g.nodes):
+        expected = tuple(a for a in g.adj_of(n) if not a.outgoing)
+        assert g.in_adj_of(n) == expected
+        assert g.in_adj_of(n) is g.in_adj_of(n)
+    assert [a.eid for a in g.in_adj_of(1)] == [2, 5]
+    assert g.in_adj_of(3) == (Adj(3, 3, False, "c"), Adj(4, 2, False, "a"))
+    assert g.in_adj_of(7) == ()
+
+
 def test_nodes_by_label_and_type(tiny):
     assert tiny.nodes_by_label("two") == [2]
     assert tiny.nodes_by_type("t2") == [1]

@@ -1,0 +1,206 @@
+"""The Merge-walk skip of ``RootedSearch._integrate`` changes no output.
+
+When every seed signature registered at a root overlaps the seed sets
+that the new tree holds outside the root, Merge2 rejects every peer, and
+the engine skips the walk. ``_LinearWalk`` keeps the walk over every
+peer as the reference. Each search here must give the reference's
+results, ``stop`` and every ``SearchStats`` counter, under every preset
+and filter, with one queue and with §4.9 multi-queue, on random small
+graphs and on a hub-shaped graph where the skip fires.
+"""
+from collections import deque
+from dataclasses import replace
+from itertools import islice
+
+import numpy as np
+import pytest
+
+from repro.core.api import PRESETS
+from repro.core.engine import ALL_NODES, RootedSearch, RTree
+from repro.core.filters import CTPFilters
+from repro.graph.model import Edge, LocalGraph
+from repro.graph.random_graphs import random_graph
+
+
+class _LinearWalk(RootedSearch):
+    """The rooted search with the Merge loop that walks every peer.
+
+    ``skippable`` holds ``stats.built`` at each walk that the skip
+    removes (every peer fails Merge2), so a test can check that its graph
+    exercises the skip and cut the search there."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.skippable: list[int] = []
+
+    def _integrate(self, t: RTree, gained: bool) -> None:
+        stats = self.stats
+        stats.built += 1
+        self._check_budget()
+        if not self._is_new(t):
+            stats.pruned += 1
+            return
+        if self._register(t):
+            return
+        checked = stats.built
+        work: deque[RTree] = deque([t])
+        for mc in self._mo_copies(t, gained):
+            stats.built += 1
+            self._register_mo(mc)
+            work.append(mc)
+        node_sets, max_edges = self.node_sets, self.f.max_edges
+        tried = 0
+        try:
+            while work:
+                cur = work.popleft()
+                root = cur.root
+                blocked = cur.sat & ~node_sets.get(root, 0)
+                others = cur.nodes - {root}
+                peers = self.rooted_in[root]
+                if len(peers) > 1 and all(blocked & p.sat for p in peers):
+                    self.skippable.append(stats.built)
+                for p in islice(peers, len(peers)):
+                    if p is cur:
+                        continue
+                    if stats.built != checked:
+                        self._check_budget()
+                        checked = stats.built
+                    tried += 1
+                    if (blocked & p.sat or not others.isdisjoint(p.nodes)
+                            or max_edges is not None
+                            and cur.size + p.size > max_edges):
+                        continue
+                    stats.merges_done += 1
+                    stats.built += 1
+                    merged = RTree(
+                        cur.edges | p.edges,
+                        cur.nodes | p.nodes,
+                        root,
+                        cur.sat | p.sat,
+                        cur.seeds | p.seeds,
+                        False,
+                        cur.no_grow or p.no_grow,
+                    )
+                    if not self._is_new(merged):
+                        stats.pruned += 1
+                    elif not self._register(merged):
+                        work.append(merged)
+                        for mc in self._mo_copies(merged, True):
+                            stats.built += 1
+                            self._register_mo(mc)
+                            work.append(mc)
+        finally:
+            stats.merges_tried += tried
+
+
+def _hub_graph(seed: int) -> tuple[LocalGraph, list[list[int]]]:
+    """A non-seed hub (node 0) with 9 spokes, each with a leaf, plus a
+    few random chords. Seed sets 0 and 1 are leaves near the hub; set 2
+    sits at the end of a 3-edge chain, so trees with sets 0 and 1 pile up
+    at the hub before any with set 2 reaches it: those walks are the ones
+    the skip removes. Edges mostly point away from the hub, so the hub
+    is also a UNI root."""
+    rng = np.random.default_rng(seed)
+    edges: list[tuple[int, int]] = []
+    for i in range(1, 10):
+        edges += [(0, i), (i, 9 + i)]
+    edges += [(0, 19), (19, 20), (20, 21)]
+    while len(edges) < 27:
+        u, v = (int(x) for x in rng.integers(1, 19, size=2))
+        if u != v:
+            edges.append((u, v))
+    flip = rng.random(len(edges)) < 0.15
+    g = LocalGraph(
+        Edge(i, v, f"l{int(rng.integers(3))}", u) if f
+        else Edge(i, u, f"l{int(rng.integers(3))}", v)
+        for i, ((u, v), f) in enumerate(zip(edges, flip))
+    )
+    return g, [[10, 11, 12], [13, 14], [21]]
+
+
+def _small_graph(seed: int) -> tuple[LocalGraph, list[list[int]]]:
+    g = random_graph(9, 14, seed=seed)
+    n = sorted(g.nodes)
+    return g, [[n[0], n[4]], [n[5]], [n[8]]]
+
+
+GRAPHS = {
+    "hub0": lambda: _hub_graph(0),
+    "hub1": lambda: _hub_graph(1),
+    "random3": lambda: _small_graph(3),
+    "random5": lambda: _small_graph(5),
+}
+
+FILTERS = {
+    "none": CTPFilters(),
+    "uni": CTPFilters(uni=True),
+    "label": CTPFilters(labels=frozenset({"l0", "l1"})),
+    "max": CTPFilters(max_edges=4),
+    "limit1": CTPFilters(limit=1),
+    "limit3": CTPFilters(limit=3),
+    "budget": CTPFilters(max_built=60),
+}
+
+
+def _pair(graph, seed_sets, preset, filters, multi_queue=False):
+    cfg = replace(PRESETS[preset], multi_queue=multi_queue)
+    ref = _LinearWalk(graph, seed_sets, cfg, filters)
+    expected = ref.run()
+    got = RootedSearch(graph, seed_sets, cfg, filters).run()
+    return expected, got, ref.skippable
+
+
+def _same(expected, got):
+    assert got.stop == expected.stop
+    assert got.stats.__dict__.keys() == expected.stats.__dict__.keys()
+    for name, value in expected.stats.__dict__.items():
+        if name != "elapsed_s":
+            assert getattr(got.stats, name) == value, name
+    assert [r.key() for r in got.results] == [r.key() for r in expected.results]
+
+
+@pytest.mark.parametrize("multi_queue", [False, True], ids=["one_queue", "multi_queue"])
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_skip_matches_linear_walk(graph, multi_queue):
+    g, ss = GRAPHS[graph]()
+    for preset in PRESETS:
+        for name, filters in FILTERS.items():
+            expected, got, _ = _pair(g, ss, preset, filters, multi_queue)
+            _same(expected, got)
+
+
+def test_hub_graph_exercises_the_skip():
+    """The equivalence above is tested where the skip fires: on the hub
+    graphs, in exhaustive MoLESP runs, many walks reject every peer."""
+    for graph in ("hub0", "hub1"):
+        g, ss = GRAPHS[graph]()
+        for filters in (CTPFilters(), CTPFilters(uni=True)):
+            expected, got, skippable = _pair(g, ss, "MoLESP", filters)
+            assert expected.stop == "exhausted"
+            assert len(skippable) >= 10, (graph, filters)
+            _same(expected, got)
+
+
+@pytest.mark.parametrize("uni", [False, True], ids=["bidirectional", "uni"])
+def test_budget_stops_where_the_walk_stops(uni):
+    """``max_built`` cuts at the counts where walks are skipped, and one
+    past them: the budget check that a skipped walk runs stops the search
+    at the same tree and with the same counters as the walk would."""
+    g, ss = GRAPHS["hub0"]()
+    skippable = _pair(g, ss, "MoLESP", CTPFilters(uni=uni))[2]
+    counts = sorted(set(skippable))
+    for built in counts:
+        for budget in (built, built + 1):
+            filters = CTPFilters(uni=uni, max_built=budget)
+            expected, got, _ = _pair(g, ss, "MoLESP", filters)
+            assert expected.stop == "budget"
+            _same(expected, got)
+
+
+def test_n_set_matches_linear_walk():
+    g, ss = GRAPHS["hub0"]()
+    n_sets = [ss[0], ss[1], ALL_NODES]
+    for preset in PRESETS:
+        for filters in (CTPFilters(max_edges=3), CTPFilters(limit=3)):
+            expected, got, _ = _pair(g, n_sets, preset, filters)
+            _same(expected, got)
