@@ -4,8 +4,8 @@ Unlike the GAM family, BFT trees are unrooted edge sets grown from *any*
 of their nodes; potential results must therefore be minimized (non-seed
 leaves stripped) before reporting, and the same tree is rebuilt in many
 more ways — the reasons these baselines lose in Figure 10. The budget,
-result reporting and the outcome are the shared ones of
-:class:`~.engine.CTPSearch`.
+result reporting (seed bindings read off a tree's nodes) and the outcome
+are the shared ones of :class:`~.engine.CTPSearch`.
 """
 from __future__ import annotations
 
@@ -61,10 +61,10 @@ def is_unidirectional(edges: frozenset[int], g: LocalGraph) -> bool:
 
 
 class _UTree:
-    __slots__ = ("edges", "nodes", "sat", "seeds")
+    __slots__ = ("edges", "nodes", "sat")
 
-    def __init__(self, edges, nodes, sat, seeds) -> None:
-        self.edges, self.nodes, self.sat, self.seeds = edges, nodes, sat, seeds
+    def __init__(self, edges, nodes, sat) -> None:
+        self.edges, self.nodes, self.sat = edges, nodes, sat
 
     @property
     def size(self) -> int:
@@ -96,7 +96,9 @@ class BFTSearch(CTPSearch):
         if self.f.uni and not is_unidirectional(mins, self.g):
             return
         nodes = {v for e in mins for v in self.g.edge_endpoints(e)} or t.nodes
-        self._report(ResultTree(mins, frozenset(nodes), t.seeds))
+        self._report(
+            ResultTree(mins, frozenset(nodes), self._bindings(t.nodes))
+        )
 
     def _accept(self, t: _UTree, mergeable: bool) -> None:
         """A newly built tree: report if complete, else enqueue (+index)."""
@@ -129,10 +131,7 @@ class BFTSearch(CTPSearch):
                     and t.size + p.size > self.f.max_edges
                 ):
                     continue
-                merged = _UTree(
-                    t.edges | p.edges, t.nodes | p.nodes, t.sat | p.sat,
-                    t.seeds | p.seeds,
-                )
+                merged = _UTree(t.edges | p.edges, t.nodes | p.nodes, t.sat | p.sat)
                 if merged.edges in self.memory:
                     continue
                 self.memory.add(merged.edges)
@@ -145,8 +144,7 @@ class BFTSearch(CTPSearch):
     def _search(self) -> None:
         for n, bits in sorted(self.node_sets.items()):
             self.stats.built += 1
-            self._accept(_UTree(frozenset(), frozenset((n,)), bits,
-                                self._seed_pairs(n, bits)), True)
+            self._accept(_UTree(frozenset(), frozenset((n,)), bits), True)
         while self.queue:
             self._check_budget()
             t = self.queue.popleft()
@@ -169,10 +167,7 @@ class BFTSearch(CTPSearch):
                     self.stats.built += 1
                     self.stats.grows += 1
                     bits = self.node_sets.get(a.other, 0)
-                    seeds = t.seeds | self._seed_pairs(a.other, bits)
-                    grown.append(
-                        _UTree(e2, t.nodes | {a.other}, t.sat | bits, seeds)
-                    )
+                    grown.append(_UTree(e2, t.nodes | {a.other}, t.sat | bits))
             for t2 in grown:
                 self._accept(t2, True)
                 if self.merge == "none":

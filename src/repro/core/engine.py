@@ -7,7 +7,9 @@ Implements Algorithms 1-5 of §4 with the variant switches factored into
   instead of rooted trees;
 * ``mo``   — MoESP tree injection (§4.5): whenever Grow/Merge produces a
   tree with strictly more seeds than its children, re-rooted copies at
-  every seed node are added (Grow disabled on them);
+  every seed node are added (Grow disabled on them). Never under UNI: a
+  UNI tree is root-directed from its own root, so a copy re-rooted at
+  another node could not be (see :meth:`RootedSearch._mo_copies`);
 * ``lesp`` — limited edge-set pruning (§4.6): a tree rooted at ``n`` with
   seed signature |ss_n| >= 3 and degree d_n >= 3 escapes ESP pruning if no
   tree with the same edges is already rooted at ``n`` (Algorithm 4);
@@ -27,22 +29,26 @@ are order-independent, and are tested as such).
 
 Grow queue: a Grow candidate is a (tree, edge) pair, and a heap entry
 holds a tree and an iterator over candidates. In the default order a
-tree takes one entry, whose iterator applies Grow1 and Grow2 to the
-root's cached adjacency as the entry pops, in adjacency order: a LIMIT
-search that stops early never filters the adjacency of a tree it does
-not grow. The candidates are listed up front only where the order needs
-them: under ``rng_seed`` each draws its own key and takes its own entry,
-and the multi-queue rule counts pending candidates. No tree is
-queued twice: GAM's ``rooted_hist`` admits each (edges, root) pair once,
-ESP's ``hist`` each edge set once, and a LESP exemption needs the edges
-to be new at their root.
+tree takes one entry, whose iterator is made when the entry first pops
+and applies Grow1 and Grow2 to the root's cached adjacency as it is
+drawn, in adjacency order: a LIMIT search that stops early makes no
+iterator for a tree it does not grow. The candidates are listed up front
+only where the order needs them: under ``rng_seed`` each draws its own
+key and takes its own entry, and the multi-queue rule counts pending
+candidates. No tree is queued twice: GAM's ``rooted_hist`` admits each
+(edges, root) pair once, ESP's ``hist`` each edge set once, and a LESP
+exemption needs the edges to be new at their root.
 
-Merge: a new tree is merged with the trees registered at its root. A
-walk over them is skipped when every seed signature registered at the
-root overlaps the seed sets the new tree holds outside the root, since
-Merge2 then rejects every peer, as at a hub that is not a seed. The
+Merge: a new tree is merged with the trees registered at its root, which
+one per-root record holds with their edge sets and their distinct
+``sat`` values. A walk over them is skipped when every ``sat`` registered
+at the root overlaps the seed sets the new tree holds outside the root,
+since Merge2 then rejects every peer, as at a hub that is not a seed. The
 skipped pairs still count in ``merges_tried``, which therefore counts
 pairs Merge considered, whether walked or rejected in bulk.
+
+Seed bindings: Grow2 and Merge2 bind each concrete set at one node of a
+tree, so trees keep only ``sat`` and a result's pairs are formed on report.
 
 The search makes no reference cycles: trees, queue entries and their
 iterators refer to nothing that refers back to them, and an iterator
@@ -60,13 +66,14 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import islice
 from random import Random
 
 from ..graph.model import Adj, LocalGraph
 from .filters import CTPFilters
-from .tree import ResultTree, RTree, uni_root
+from .tree import ResultTree, RTree
 
 ALL_NODES = "ALL_NODES"
 """Sentinel for an N (all-nodes) seed set — §4.9(i)."""
@@ -160,15 +167,21 @@ class CTPSearch:
             self.full_mask |= 1 << i
             for n in nodes:
                 self.node_sets[n] = self.node_sets.get(n, 0) | (1 << i)
+        # The (seed set, node) pairs of each seed node, built once and
+        # shared by every result that binds the node.
+        self.node_pairs: dict[int, tuple[tuple[int, int], ...]] = {
+            n: tuple((i, n) for i in self.concrete if bits >> i & 1)
+            for n, bits in self.node_sets.items()
+        }
         self.results: dict = {}
         self.stats = SearchStats()
         self._deadline: float | None = None
 
-    def _seed_pairs(self, n: int, bits: int) -> frozenset[tuple[int, int]]:
-        """The (seed set, node) bindings of node ``n`` whose sets are ``bits``."""
-        return frozenset(
-            (i, n) for i in range(len(self.seed_sets)) if bits >> i & 1
-        )
+    def _bindings(self, nodes: frozenset[int]) -> frozenset[tuple[int, int]]:
+        """The seed bindings of a tree with ``nodes``: the pairs of its seed
+        nodes. Grow2 and Merge2 bind each concrete set at one node only."""
+        pairs = self.node_pairs
+        return frozenset(p for n in nodes if n in pairs for p in pairs[n])
 
     def _check_budget(self) -> None:
         if self._deadline is not None and time.monotonic() > self._deadline:
@@ -230,9 +243,8 @@ class RootedSearch(CTPSearch):
         # State shared by Algorithms 1-5.
         self.hist: set[frozenset[int]] = set()              # ESP history
         self.rooted_hist: set[tuple[frozenset[int], int]] = set()  # GAM history
-        self.rooted_in: dict[int, list[RTree]] = {}
-        self.rooted_edge_sets: dict[int, set[frozenset[int]]] = {}
-        self.rooted_sats: dict[int, set[int]] = {}   # root -> sats in rooted_in
+        # root -> (trees rooted there, their edge sets, their sats)
+        self.rooted: dict[int, tuple[list[RTree], set[frozenset[int]], set[int]]] = {}
         self.ss: dict[int, int] = {}                         # seed signatures
         self.queues: dict[int, list] = {}                    # sat -> heap
         self.pending: dict[int, int] = {}     # multi-queue: sat -> candidates left
@@ -265,10 +277,11 @@ class RootedSearch(CTPSearch):
         if t.edges not in self.hist:
             return True
         if self.cfg.lesp:
+            rec = self.rooted.get(t.root)
             if (
                 bin(self.ss.get(t.root, 0)).count("1") >= 3
                 and self.g.degree.get(t.root, 0) >= 3
-                and t.edges not in self.rooted_edge_sets.get(t.root, ())
+                and (rec is None or t.edges not in rec[1])
             ):
                 return True
         return False
@@ -302,7 +315,7 @@ class RootedSearch(CTPSearch):
             self.rooted_hist.add((t.edges, t.root))
         self.stats.kept += 1
         if self._is_result(t):
-            self._report(ResultTree(t.edges, t.nodes, t.seeds))
+            self._report(ResultTree(t.edges, t.nodes, self._bindings(t.nodes)))
             # With only concrete seed sets a result cannot extend into
             # another result (Grow2 blocks every remaining seed), so the
             # search drops it. With N sets every supertree is a further
@@ -314,66 +327,60 @@ class RootedSearch(CTPSearch):
             self._push_grows(t)
         return False
 
-    def _register_mo(self, t: RTree) -> None:
-        """Mo copies bypass the edge-set history (their edge set is already
-        in it) and only deduplicate against trees rooted at the same node."""
-        self.stats.kept += 1
-        self._add_rooted(t)
-
     def _add_rooted(self, t: RTree) -> None:
         """Make ``t`` a Merge partner of the later trees rooted at its root."""
-        root = t.root
-        peers = self.rooted_in.get(root)
-        if peers is None:
-            self.rooted_in[root] = [t]
-            self.rooted_edge_sets[root] = {t.edges}
-            self.rooted_sats[root] = {t.sat}
+        rec = self.rooted.get(t.root)
+        if rec is None:
+            self.rooted[t.root] = ([t], {t.edges}, {t.sat})
         else:
-            peers.append(t)
-            self.rooted_edge_sets[root].add(t.edges)
-            self.rooted_sats[root].add(t.sat)
+            rec[0].append(t)
+            rec[1].add(t.edges)
+            rec[2].add(t.sat)
 
     def _mo_copies(self, t: RTree, gained: bool) -> list[RTree]:
-        if not self.cfg.mo or not gained:
+        """Build and register the Mo copies of ``t`` (§4.5) for the Merge work
+        list. They bypass the edge-set history (their edges are already in
+        it) and only deduplicate against the trees rooted at their node."""
+        # §4.8 enforces UNI on provenance creation, so a copy must stay
+        # root-directed. A UNI tree is root-directed from its own root (Grow
+        # adds an edge from the new root, Merge joins two such trees there)
+        # and from no other node, so a copy at another seed never qualifies.
+        if not self.cfg.mo or not gained or self.f.uni:
             return []
         out = []
-        for n in {node for _, node in t.seeds}:
+        node_sets, rooted, stats = self.node_sets, self.rooted, self.stats
+        for n in {v for v in t.nodes if v in node_sets}:
             if n == t.root:
                 continue
-            if t.edges in self.rooted_edge_sets.get(n, ()):
+            rec = rooted.get(n)
+            if rec is not None and t.edges in rec[1]:
                 continue
-            if self.f.uni and uni_root(t.edges, self.g) != n:
-                # §4.8: UNI is enforced as a pre-condition on provenance
-                # creation — a re-rooted copy must stay root-directed
-                # (Grow/Merge preserve this invariant on their own).
-                continue
-            out.append(RTree(t.edges, t.nodes, n, t.sat, t.seeds, False, True))
+            mc = RTree(t.edges, t.nodes, n, t.sat, False, True)
+            stats.built += 1
+            stats.kept += 1
+            self._add_rooted(mc)
+            out.append(mc)
         return out
 
     # ---- Grow ------------------------------------------------------------
     def _push_grows(self, t: RTree) -> None:
         """Queue the Grow candidates of ``t``.
 
-        An entry is ``(prio, tie, seq, tree, candidates)``, the candidates
+        An entry is ``[prio, tie, seq, tree, candidates]``, the candidates
         an iterator in adjacency order. The unique ``seq`` keeps heap
         comparisons away from the tree. In the default order the priority
         is the new tree's size, the tie is ``seq`` itself, and the iterator
-        filters the adjacency lazily: a tree's candidates would get
-        consecutive keys, so they pop as one block either way, and a tree
-        with none pops once and is dropped. Under ``rng_seed`` both the
-        priority and the tie are random draws, one entry per candidate.
+        is None until :meth:`_pop` first reaches the entry: a tree's
+        candidates would get consecutive keys, so they pop as one block
+        either way, and a tree with none pops once and is dropped. Under
+        ``rng_seed`` the priority and the tie are random draws, one entry
+        per candidate.
         """
         if self.f.max_edges is not None and t.size >= self.f.max_edges:
             return  # MAX
-        nodes, sat, node_sets = t.nodes, t.sat, self.node_sets
-        cands = (
-            a for a in self._grow_adj(t.root)
-            if a.other not in nodes                   # Grow1
-            and not node_sets.get(a.other, 0) & sat   # Grow2
-        )
         multi = self.cfg.multi_queue
         if multi or self._rng is not None:
-            cands = list(cands)
+            cands = list(self._candidates(t))
             if not cands:
                 return
         qkey = t.sat if multi else 0
@@ -382,12 +389,22 @@ class RootedSearch(CTPSearch):
             self.pending[qkey] = self.pending.get(qkey, 0) + len(cands)
         if self._rng is None:
             self._seq += 1
-            heapq.heappush(heap, (t.size + 1, self._seq, self._seq, t, iter(cands)))
+            heapq.heappush(heap, [t.size + 1, self._seq, self._seq, t,
+                                  iter(cands) if multi else None])
             return
         rand = self._rng.random
         for a in cands:
             self._seq += 1
-            heapq.heappush(heap, (rand(), rand(), self._seq, t, iter((a,))))
+            heapq.heappush(heap, [rand(), rand(), self._seq, t, iter((a,))])
+
+    def _candidates(self, t: RTree) -> Iterator[Adj]:
+        """The Grow candidates of ``t``, filtered by Grow1 and Grow2 as drawn."""
+        nodes, sat, node_sets = t.nodes, t.sat, self.node_sets
+        return (
+            a for a in self._grow_adj(t.root)
+            if a.other not in nodes                   # Grow1
+            and not node_sets.get(a.other, 0) & sat   # Grow2
+        )
 
     def _pop(self) -> tuple[RTree, Adj] | None:
         """The next Grow candidate, or None when the queues are empty."""
@@ -402,7 +419,10 @@ class RootedSearch(CTPSearch):
             qkey = 0
         heap = self.queues.get(qkey, [])
         while heap:
-            t, cands = heap[0][3:]
+            entry = heap[0]
+            t, cands = entry[3:]
+            if cands is None:
+                cands = entry[4] = self._candidates(t)
             # The entry's key is unchanged while it is consumed: the heap
             # stays valid. An exhausted entry is dropped on the next pop.
             for a in cands:
@@ -414,19 +434,11 @@ class RootedSearch(CTPSearch):
 
     def _grow(self, t: RTree, a: Adj) -> RTree:
         other_bits = self.node_sets.get(a.other, 0)
-        sat = t.sat | other_bits
-        seeds = t.seeds
-        if other_bits:
-            seeds = seeds | {
-                (i, a.other) for i in range(len(self.seed_sets))
-                if other_bits >> i & 1
-            }
         return RTree(
             t.edges | {a.eid},
             t.nodes | {a.other},
             a.other,
-            sat,
-            seeds,
+            t.sat | other_bits,
             t.is_seed_path and other_bits == 0,
             False,
         )
@@ -445,39 +457,36 @@ class RootedSearch(CTPSearch):
         # built since the last check: the same stop as a check before
         # every attempt, as ``built`` is the only count it reads.
         checked = stats.built
-        work: deque[RTree] = deque([t])
-        for mc in self._mo_copies(t, gained):
-            stats.built += 1
-            self._register_mo(mc)
-            work.append(mc)
-        node_sets, max_edges = self.node_sets, self.f.max_edges
+        work = deque([t, *self._mo_copies(t, gained)])
+        node_sets, rooted, max_edges = self.node_sets, self.rooted, self.f.max_edges
         tried = 0
         try:
             while work:
                 cur = work.popleft()
                 root = cur.root
+                peers, _, sats = rooted[root]
+                if len(peers) == 1:
+                    continue  # cur alone: a walk would try nothing
                 # Merge2, read per DESIGN.md §6: sat overlap only through
                 # the shared root (required by the §4.5 MoESP walk-through).
                 # Tested first: it is a mask test and rejects most attempts.
                 blocked = cur.sat & ~node_sets.get(root, 0)
-                # Merge1: the trees share only the root, which both hold.
-                others = cur.nodes - {root}
-                peers = self.rooted_in[root]
                 # If every tree at the root fails Merge2 with cur, as at a
                 # hub that is not a seed, the walk is skipped. Its pairs
                 # (peers holds cur itself) still count as tried, and the
                 # budget check the first peer would run still runs, so
                 # the stop lands where a walk would put it.
-                for s in self.rooted_sats[root]:
+                for s in sats:
                     if not blocked & s:
                         break
                 else:
-                    if len(peers) > 1:
-                        if stats.built != checked:
-                            self._check_budget()
-                            checked = stats.built
-                        tried += len(peers) - 1
+                    if stats.built != checked:
+                        self._check_budget()
+                        checked = stats.built
+                    tried += len(peers) - 1
                     continue
+                # Merge1: the trees share only the root, which both hold.
+                others = cur.nodes - {root}
                 # Trees registered during the walk are not merged with cur
                 # here: they meet it from their own turn in the work list.
                 for p in islice(peers, len(peers)):
@@ -498,7 +507,6 @@ class RootedSearch(CTPSearch):
                         cur.nodes | p.nodes,
                         root,
                         cur.sat | p.sat,
-                        cur.seeds | p.seeds,
                         False,
                         cur.no_grow or p.no_grow,
                     )
@@ -506,10 +514,7 @@ class RootedSearch(CTPSearch):
                         stats.pruned += 1
                     elif not self._register(merged):
                         work.append(merged)
-                        for mc in self._mo_copies(merged, True):
-                            stats.built += 1
-                            self._register_mo(mc)
-                            work.append(mc)
+                        work.extend(self._mo_copies(merged, True))
         finally:
             stats.merges_tried += tried
 
@@ -522,8 +527,7 @@ class RootedSearch(CTPSearch):
                     continue
                 inited.add(n)
                 bits = self.node_sets[n]
-                t = RTree(frozenset(), frozenset((n,)), n, bits,
-                          self._seed_pairs(n, bits), True, False)
+                t = RTree(frozenset(), frozenset((n,)), n, bits, True, False)
                 self.ss[n] = self.ss.get(n, 0) | bits
                 self._integrate(t, gained=False)
         while (cand := self._pop()) is not None:

@@ -2,9 +2,9 @@
 
 A tree is identified by its frozen edge-id set plus (for the GAM family) a
 distinguished root. ``sat`` is a bitmask over the *concrete* seed sets
-(``N`` seed sets — §4.9 — carry no bits: any node matches them). ``seeds``
-records which node was bound for each concrete seed set, for result
-reporting (Def. 2.8 tuples)."""
+(``N`` seed sets — §4.9 — carry no bits: any node matches them). A tree
+stores no seed bindings: a result's (Def. 2.8 tuples) are read off its
+nodes when it is reported."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -23,9 +23,12 @@ class RTree:
 
     ``no_grow`` — True iff the provenance includes a Mo step (§4.5): Grow
     is disabled on such trees, only Merge applies.
+
+    No seed bindings: Grow2 and Merge2 bind each concrete set in ``sat``
+    at one node of ``nodes``, where the search reads them for a result.
     """
 
-    __slots__ = ("edges", "nodes", "root", "sat", "seeds", "is_seed_path", "no_grow")
+    __slots__ = ("edges", "nodes", "root", "sat", "is_seed_path", "no_grow")
 
     def __init__(
         self,
@@ -33,7 +36,6 @@ class RTree:
         nodes: frozenset[int],
         root: int,
         sat: int,
-        seeds: frozenset[tuple[int, int]],
         is_seed_path: bool,
         no_grow: bool,
     ) -> None:
@@ -41,7 +43,6 @@ class RTree:
         self.nodes = nodes
         self.root = root
         self.sat = sat
-        self.seeds = seeds
         self.is_seed_path = is_seed_path
         self.no_grow = no_grow
 

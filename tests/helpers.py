@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from repro.core.tree import ResultTree
 from repro.graph.model import Edge, LocalGraph
 from repro.lang.ast import BGP, EdgePattern
@@ -48,3 +50,28 @@ def _bind(g: LocalGraph, binding: dict, p: EdgePattern, e: Edge) -> bool:
         if not pred.matches(label, types):
             return False
     return True
+
+
+def hub_graph(seed: int) -> tuple[LocalGraph, list[list[int]]]:
+    """A non-seed hub (node 0) with 9 spokes, each with a leaf, plus a
+    few random chords. Seed sets 0 and 1 are leaves near the hub; set 2
+    sits at the end of a 3-edge chain, so trees with sets 0 and 1 pile up
+    at the hub before any with set 2 reaches it: those walks are the ones
+    the engine's Merge-walk skip removes. Edges mostly point away from
+    the hub, so the hub is also a UNI root."""
+    rng = np.random.default_rng(seed)
+    edges: list[tuple[int, int]] = []
+    for i in range(1, 10):
+        edges += [(0, i), (i, 9 + i)]
+    edges += [(0, 19), (19, 20), (20, 21)]
+    while len(edges) < 27:
+        u, v = (int(x) for x in rng.integers(1, 19, size=2))
+        if u != v:
+            edges.append((u, v))
+    flip = rng.random(len(edges)) < 0.15
+    g = LocalGraph(
+        Edge(i, v, f"l{int(rng.integers(3))}", u) if f
+        else Edge(i, u, f"l{int(rng.integers(3))}", v)
+        for i, ((u, v), f) in enumerate(zip(edges, flip))
+    )
+    return g, [[10, 11, 12], [13, 14], [21]]

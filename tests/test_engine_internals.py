@@ -86,13 +86,12 @@ def test_mo_trees_disable_grow():
     assert out.stats.kept > len(s.hist)
     for b in (gen.line(3, 1), gen.fig4()):
         s, _ = run_recorded(b, esp=True, mo=True)
-        assert any(t.no_grow for ts in s.rooted_in.values() for t in ts)
+        assert any(t.no_grow for ts, _, _ in s.rooted.values() for t in ts)
         assert s.popped and not any(t.no_grow for t, _ in s.popped)
 
 
 def test_rtree_properties():
-    t = RTree(frozenset({1, 2}), frozenset({5, 6, 7}), 5, 0b11,
-              frozenset({(0, 6), (1, 7)}), False, False)
+    t = RTree(frozenset({1, 2}), frozenset({5, 6, 7}), 5, 0b11, False, False)
     assert t.size == 2
     assert "root=5" in repr(t)
 

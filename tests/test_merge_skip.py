@@ -12,14 +12,15 @@ from collections import deque
 from dataclasses import replace
 from itertools import islice
 
-import numpy as np
 import pytest
 
 from repro.core.api import PRESETS
 from repro.core.engine import ALL_NODES, RootedSearch, RTree
 from repro.core.filters import CTPFilters
-from repro.graph.model import Edge, LocalGraph
+from repro.graph.model import LocalGraph
 from repro.graph.random_graphs import random_graph
+
+from tests.helpers import hub_graph
 
 
 class _LinearWalk(RootedSearch):
@@ -43,11 +44,7 @@ class _LinearWalk(RootedSearch):
         if self._register(t):
             return
         checked = stats.built
-        work: deque[RTree] = deque([t])
-        for mc in self._mo_copies(t, gained):
-            stats.built += 1
-            self._register_mo(mc)
-            work.append(mc)
+        work = deque([t, *self._mo_copies(t, gained)])
         node_sets, max_edges = self.node_sets, self.f.max_edges
         tried = 0
         try:
@@ -56,7 +53,7 @@ class _LinearWalk(RootedSearch):
                 root = cur.root
                 blocked = cur.sat & ~node_sets.get(root, 0)
                 others = cur.nodes - {root}
-                peers = self.rooted_in[root]
+                peers = self.rooted[root][0]
                 if len(peers) > 1 and all(blocked & p.sat for p in peers):
                     self.skippable.append(stats.built)
                 for p in islice(peers, len(peers)):
@@ -77,7 +74,6 @@ class _LinearWalk(RootedSearch):
                         cur.nodes | p.nodes,
                         root,
                         cur.sat | p.sat,
-                        cur.seeds | p.seeds,
                         False,
                         cur.no_grow or p.no_grow,
                     )
@@ -85,37 +81,9 @@ class _LinearWalk(RootedSearch):
                         stats.pruned += 1
                     elif not self._register(merged):
                         work.append(merged)
-                        for mc in self._mo_copies(merged, True):
-                            stats.built += 1
-                            self._register_mo(mc)
-                            work.append(mc)
+                        work.extend(self._mo_copies(merged, True))
         finally:
             stats.merges_tried += tried
-
-
-def _hub_graph(seed: int) -> tuple[LocalGraph, list[list[int]]]:
-    """A non-seed hub (node 0) with 9 spokes, each with a leaf, plus a
-    few random chords. Seed sets 0 and 1 are leaves near the hub; set 2
-    sits at the end of a 3-edge chain, so trees with sets 0 and 1 pile up
-    at the hub before any with set 2 reaches it: those walks are the ones
-    the skip removes. Edges mostly point away from the hub, so the hub
-    is also a UNI root."""
-    rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    for i in range(1, 10):
-        edges += [(0, i), (i, 9 + i)]
-    edges += [(0, 19), (19, 20), (20, 21)]
-    while len(edges) < 27:
-        u, v = (int(x) for x in rng.integers(1, 19, size=2))
-        if u != v:
-            edges.append((u, v))
-    flip = rng.random(len(edges)) < 0.15
-    g = LocalGraph(
-        Edge(i, v, f"l{int(rng.integers(3))}", u) if f
-        else Edge(i, u, f"l{int(rng.integers(3))}", v)
-        for i, ((u, v), f) in enumerate(zip(edges, flip))
-    )
-    return g, [[10, 11, 12], [13, 14], [21]]
 
 
 def _small_graph(seed: int) -> tuple[LocalGraph, list[list[int]]]:
@@ -125,8 +93,8 @@ def _small_graph(seed: int) -> tuple[LocalGraph, list[list[int]]]:
 
 
 GRAPHS = {
-    "hub0": lambda: _hub_graph(0),
-    "hub1": lambda: _hub_graph(1),
+    "hub0": lambda: hub_graph(0),
+    "hub1": lambda: hub_graph(1),
     "random3": lambda: _small_graph(3),
     "random5": lambda: _small_graph(5),
 }

@@ -33,6 +33,32 @@ def graph_and_seeds(draw, max_m: int = 3):
     return g, [[nodes[i]] for i in idx]
 
 
+@st.composite
+def graph_and_seed_sets(draw, max_m: int = 3):
+    """A random small graph and 2..max_m seed sets of 1-3 nodes each; two
+    sets may share nodes."""
+    n_nodes = draw(st.integers(5, 9))
+    n_edges = draw(st.integers(n_nodes - 1, 13))
+    seed = draw(st.integers(0, 10_000))
+    g = random_graph(n_nodes, n_edges, seed=seed)
+    nodes = sorted(g.nodes)
+    one_set = st.lists(st.sampled_from(nodes), min_size=1, max_size=3, unique=True)
+    m = draw(st.integers(2, max_m))
+    return g, draw(st.lists(one_set, min_size=m, max_size=m))
+
+
+@given(graph_and_seed_sets(max_m=3), st.booleans())
+@settings(_settings, max_examples=100)
+def test_multi_node_seed_sets_bindings_match_oracle(gs, multi_queue):
+    """With multi-node seed sets, each result binds one node per set:
+    MoLESP (m <= 3, one queue or §4.9 multi-queue) and BFT must report
+    exactly the oracle's (edges, bindings) pairs."""
+    g, ss = gs
+    expect = keys(enumerate_results(g, ss))
+    assert keys(molesp(g, ss, multi_queue=multi_queue)) == expect
+    assert keys(bft(g, ss)) == expect
+
+
 @given(graph_and_seeds(max_m=3), st.integers(0, 5))
 @_settings
 def test_molesp_complete_m_le_3(gs, order):

@@ -8,7 +8,10 @@ speed change to the queue must reproduce them exactly.
 
 Each case is (built, kept, pruned, grows, merges_tried, merges_done,
 sorted result edge sets), one tuple per query. The exhaustive cases pin
-a digest of the sorted result edge sets instead, with their count.
+a digest of the sorted result edge sets instead, with their count. The
+binding pins hold, per case, the result count and a digest of each
+result's sorted edges with its sorted (seed set, node) bindings; they
+were recorded on the engine whose trees each carried their bindings.
 """
 import hashlib
 
@@ -143,3 +146,31 @@ def test_exhaustive_search_pinned(case):
     out = _cdf_m3(filters)
     assert out.stop == "exhausted"
     assert exhaustive_fingerprint(out) == expected
+
+
+def bindings_digest(outs):
+    """The result count and a digest of the sorted (edges, bindings) pairs
+    of every result, over one or more searches."""
+    pairs = repr([sorted((sorted(r.edges), sorted(r.seeds)) for r in out.results)
+                  for out in outs])
+    return (sum(len(out.results) for out in outs),
+            hashlib.sha256(pairs.encode()).hexdigest()[:16])
+
+
+PINNED_BINDINGS = {
+    "cdf_m3_uni": (lambda: [_cdf_m3(CTPFilters(uni=True))],
+                   (58, "899506d933f27854")),
+    "cdf_m3_bidirectional": (lambda: [_cdf_m3(CTPFilters())],
+                             (310, "1faafe4bbb6deaf9")),
+    "hub_m4": (lambda: _hub(4), (3, "c8902d612d6a84a8")),
+    "hub_m6": (lambda: _hub(6), (3, "50ba3face0a27d77")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_BINDINGS))
+def test_result_bindings_pinned(case):
+    """Each result's seed bindings, not only its edges: the (set, node)
+    pairs the engine reports for the exhaustive CDF searches and the hub
+    LIMIT 1 searches."""
+    run, expected = PINNED_BINDINGS[case]
+    assert bindings_digest(run()) == expected
