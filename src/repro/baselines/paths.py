@@ -39,8 +39,7 @@ def _edge_relation(
 
 
 def _as_id_df(spark: SparkSession, nodes, name: str) -> DataFrame:
-    if isinstance(nodes, DataFrame):
-        return nodes.select(F.col(nodes.columns[0]).alias(name)).distinct()
+    """The node ids ``nodes`` as a one-column frame ``name``."""
     return spark.createDataFrame(
         [(int(n),) for n in nodes], schema=f"{name} long"
     ).distinct()

@@ -7,9 +7,10 @@ Implements Algorithms 1-5 of §4 with the variant switches factored into
   instead of rooted trees;
 * ``mo``   — MoESP tree injection (§4.5): whenever Grow/Merge produces a
   tree with strictly more seeds than its children, re-rooted copies at
-  every seed node are added (Grow disabled on them). Never under UNI: a
-  UNI tree is root-directed from its own root, so a copy re-rooted at
-  another node could not be (see :meth:`RootedSearch._mo_copies`);
+  every seed node are added in node order (Grow disabled on them). Never
+  under UNI: a UNI tree is root-directed from its own root, so a copy
+  re-rooted at another node could not be (see
+  :meth:`RootedSearch._mo_copies`);
 * ``lesp`` — limited edge-set pruning (§4.6): a tree rooted at ``n`` with
   seed signature |ss_n| >= 3 and degree d_n >= 3 escapes ESP pruning if no
   tree with the same edges is already rooted at ``n`` (Algorithm 4);
@@ -349,7 +350,9 @@ class RootedSearch(CTPSearch):
             return []
         out = []
         node_sets, rooted, stats = self.node_sets, self.rooted, self.stats
-        for n in {v for v in t.nodes if v in node_sets}:
+        # In node order, so the Merge work list, and with it the counters,
+        # depends on the tree alone and not on how the ids hash.
+        for n in sorted(v for v in t.nodes if v in node_sets):
             if n == t.root:
                 continue
             rec = rooted.get(n)

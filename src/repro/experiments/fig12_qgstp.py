@@ -3,8 +3,8 @@ on a DBPedia-like scale-free graph, CTP workloads grouped by m in 2..6,
 UNI + LIMIT 1 (one result), average runtime per m.
 
 Paper shape: MoLESP is fastest at every m and scales with m; GAM is
-competitive for small m but times out as m grows; QGSTP(-sub) pays a
-roughly m-independent polynomial cost.
+competitive for small m but times out as m grows. The substitute's DP
+has 2^m seed subsets per node, so its cost grows steeply with m.
 """
 from __future__ import annotations
 

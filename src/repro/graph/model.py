@@ -1,18 +1,16 @@
-"""Graph data model: Spark-facing DataFrames + in-memory adjacency.
+"""Graph data model.
 
 A graph (Def. 2.1) is a set of labeled nodes and labeled, directed edges;
 parallel edges are allowed (they carry distinct edge IDs — required by the
 Fig. 2 "chain" graph whose 2^N results come from doubled edges).
 
-Two representations:
-
-* **Spark**: three DataFrames — ``edges(id, src, label, dst)``,
-  ``nodes(id, label)`` and ``types(id, type)`` (0..n types per node, the
-  RDF-style type sets of §2). This is the storage/BGP-evaluation layer.
-* **LocalGraph**: the collected, adjacency-indexed form the CTP search
-  engines of §4 traverse. The paper's own evaluation loads the graph in
-  memory before running CTP search (§5.1), so this mirrors the original
-  system's layering.
+:class:`LocalGraph` is the graph: the generators build one, and the CTP
+search engines of §4 traverse its adjacency index, as the paper's own
+evaluation loads the graph in memory before running CTP search (§5.1).
+:meth:`~LocalGraph.to_pandas` and :meth:`~LocalGraph.to_spark` write it
+out as three tables, ``edges(id, src, label, dst)``, ``nodes(id, label)``
+and ``types(id, type)`` (0..n types per node, the RDF-style type sets of
+§2): Spark runs the BGPs on them, and the DuckDB oracle reads them.
 """
 from __future__ import annotations
 
@@ -122,7 +120,7 @@ class LocalGraph:
     def nodes_by_type(self, t: str) -> list[int]:
         return sorted(n for n in self.nodes if t in self.types(n))
 
-    # ---- Spark conversion ------------------------------------------------
+    # ---- relational tables -----------------------------------------------
     def to_pandas(self) -> dict[str, pd.DataFrame]:
         """The three relational tables as pandas frames (also what the
         DuckDB oracle registers)."""

@@ -14,6 +14,19 @@ _EDGE_VOCAB = (
 _TYPE_VOCAB = ("person", "organization", "place", "work")
 
 
+def _backbone(rng: np.random.Generator, n_nodes: int, labels) -> list[Edge]:
+    """A random spanning tree on ``range(n_nodes)``, edge ids from 0, so
+    that the graph is connected: each node of a random permutation hangs
+    from one drawn among those before it, with a drawn label."""
+    perm = rng.permutation(n_nodes)
+    edges = []
+    for i in range(1, n_nodes):
+        u = int(perm[int(rng.integers(i))])
+        label = labels[int(rng.integers(len(labels)))]
+        edges.append(Edge(i - 1, u, label, int(perm[i])))
+    return edges
+
+
 def random_graph(
     n_nodes: int,
     n_edges: int,
@@ -28,15 +41,8 @@ def random_graph(
     edges."""
     rng = np.random.default_rng(seed)
     labels = [f"l{i}" for i in range(n_labels)]
-    edges: list[Edge] = []
-    eid = 0
-    if n_nodes > 1:
-        perm = rng.permutation(n_nodes)
-        for i in range(1, n_nodes):
-            u = int(perm[int(rng.integers(i))])
-            v = int(perm[i])
-            edges.append(Edge(eid, u, labels[int(rng.integers(n_labels))], v))
-            eid += 1
+    edges = _backbone(rng, n_nodes, labels)
+    eid = len(edges)
     while eid < n_edges:
         u, v = int(rng.integers(n_nodes)), int(rng.integers(n_nodes))
         if u == v:
@@ -54,27 +60,19 @@ def scale_free(
     alpha: float = 1.0,
     n_labels: int = 8,
     seed: int = 0,
-    edge_vocab: tuple[str, ...] = _EDGE_VOCAB,
     typed: bool = False,
 ) -> LocalGraph:
     """Heavy-tailed random graph: endpoints drawn zipf(alpha) over a fixed
     node ranking (hubs emerge like in DBPedia/YAGO), self-loops rejected,
-    plus a spanning backbone for connectivity."""
+    plus a spanning backbone for connectivity. Edge labels are the first
+    ``n_labels`` (at most ten) of a fixed predicate vocabulary."""
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, n_nodes + 1, dtype=np.float64)
     w = ranks ** (-alpha)
     w /= w.sum()
-    vocab = edge_vocab[:n_labels] if len(edge_vocab) >= n_labels else tuple(
-        edge_vocab
-    ) + tuple(f"p{i}" for i in range(n_labels - len(edge_vocab)))
-    edges: list[Edge] = []
-    eid = 0
-    perm = rng.permutation(n_nodes)
-    for i in range(1, n_nodes):
-        u = int(perm[int(rng.integers(i))])
-        v = int(perm[i])
-        edges.append(Edge(eid, u, vocab[int(rng.integers(len(vocab)))], v))
-        eid += 1
+    vocab = _EDGE_VOCAB[:n_labels]
+    edges = _backbone(rng, n_nodes, vocab)
+    eid = len(edges)
     # Vectorized bulk draw, then reject self-loops.
     while eid < n_edges:
         k = n_edges - eid

@@ -17,8 +17,8 @@ def start_spark(
     by hint (see :mod:`repro.eql.bgp`), and a join without a hint takes
     the shuffle path.
 
-    ``SPARK_DRIVER_MEM``, ``SPARK_MASTER`` (default ``local[*]``) and
-    ``SPARK_SHUFFLE_PARTITIONS`` override the caller's values. The JVM reads
+    ``SPARK_DRIVER_MEM`` overrides the caller's driver memory, and
+    ``SPARK_MASTER`` sets the master (default ``local[*]``). The JVM reads
     its heap size at launch, from ``PYSPARK_SUBMIT_ARGS``; one already set
     in the environment is kept.
     """
@@ -35,10 +35,7 @@ def start_spark(
 
     spark = (
         SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", str(shuffle_partitions)),
-        )
+        .config("spark.sql.shuffle.partitions", str(shuffle_partitions))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -14,12 +14,14 @@ result's sorted edges with its sorted (seed set, node) bindings; they
 were recorded on the engine whose trees each carried their bindings.
 """
 import hashlib
+import random
 
 import pytest
 
 from repro.core import esp, molesp, moesp
 from repro.core.filters import CTPFilters
 from repro.graph import generators as gen
+from repro.graph.model import Edge, LocalGraph
 from repro.graph.random_graphs import dbpedia_lite, random_graph, sample_ctp_workload
 
 
@@ -174,3 +176,34 @@ def test_result_bindings_pinned(case):
     LIMIT 1 searches."""
     run, expected = PINNED_BINDINGS[case]
     assert bindings_digest(run()) == expected
+
+
+def _renamed(bundle, seed):
+    """``bundle`` with its node ids mapped, in order, onto random ids in
+    [0, 2^40): the same graph, with node ids that hash differently."""
+    g = bundle.graph
+    nodes = sorted(g.nodes)
+    ids = dict(zip(nodes, sorted(random.Random(seed).sample(range(1 << 40),
+                                                              len(nodes)))))
+    edges = [Edge(e.id, ids[e.src], e.label, ids[e.dst]) for e in g.edges.values()]
+    renamed = LocalGraph(edges, {ids[n]: lbl for n, lbl in g.node_labels.items()})
+    return renamed, [[ids[n] for n in s] for s in bundle.seed_sets], ids
+
+
+@pytest.mark.parametrize("search", [moesp, molesp], ids=["MoESP", "MoLESP"])
+@pytest.mark.parametrize("n_a", [5, 6])
+def test_counters_do_not_depend_on_node_ids(n_a, search):
+    """Mo copies (§4.5) are made in node order, so an order-preserving
+    rename of the node ids moves no counter, ``stop`` or result."""
+    bundle = gen.comb(n_a, 1, 2, 2)
+    base = search(bundle.graph, bundle.seed_sets)
+    for seed in (1, 2, 91):
+        g, seed_sets, ids = _renamed(bundle, seed)
+        out = search(g, seed_sets)
+        assert out.stop == base.stop
+        for name, value in base.stats.__dict__.items():
+            if name != "elapsed_s":
+                assert getattr(out.stats, name) == value, (seed, name)
+        assert [r.key() for r in out.results] == [
+            (r.edges, frozenset((i, ids[n]) for i, n in r.seeds))
+            for r in base.results]
