@@ -1,10 +1,9 @@
 """Named entry points for the §4 CTP evaluation algorithms."""
 from __future__ import annotations
 
-import gc
 from dataclasses import replace
 
-from ..graph.model import LocalGraph
+from ..graph.model import LocalGraph, gc_paused
 from .bft import BFTSearch
 from .engine import ALL_NODES, CTPSearch, RootedSearch, SearchConfig, SearchOutcome
 from .filters import CTPFilters
@@ -24,13 +23,8 @@ def _run(search: type[CTPSearch], *args) -> SearchOutcome:
     search object's whole life: re-enabled while that state is still
     alive, the collector would at once scan it.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         return search(*args).run()
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def bft(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:

@@ -273,6 +273,14 @@ def cdf(m: int, n_t: int, n_l: int, s_l: int, seed: int = 0) -> GraphBundle:
     (and 50% of the bottom leaves / leaf-pairs) are link-eligible; links
     are distributed uniformly (rng ``seed``) over eligible endpoints.
 
+    Each link draws its two ends with replacement, so two links can share
+    both ends: ``cdf(m, n_t=128, n_l=256, s_l=3, seed=17)`` has 256 links
+    but 255 distinct end tuples, for m=2 and m=3 alike. Counts derived
+    from the links then differ from ``n_l``: a reachability check finds
+    one pair per distinct tuple, and under m=3 the ``k`` Ys that share
+    their three ends give ``k * k`` UNI trees rooted at their top leaf
+    (each bottom branch may come from any of them).
+
     Returns the bundle with ``seed_sets`` empty (the EQL query derives seed
     sets from its BGPs); link endpoints are recorded on the bundle as
     ``links`` for tests.

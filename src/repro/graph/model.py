@@ -14,15 +14,35 @@ and ``types(id, type)`` (0..n types per node, the RDF-style type sets of
 """
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+if TYPE_CHECKING:
+    import pandas as pd
+    from pyspark.sql import DataFrame, SparkSession
 
 
-@dataclass(frozen=True)
-class Edge:
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the ``with`` body, and hand
+    back the caller's collector state after it, also when it raises.
+
+    For code that allocates many tracked objects and makes no reference
+    cycles: the collector's passes over them would find nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class Edge(NamedTuple):
     """A directed, labeled edge. ``id`` is unique; parallel edges allowed."""
 
     id: int
@@ -31,8 +51,7 @@ class Edge:
     dst: int
 
 
-@dataclass(frozen=True)
-class Adj:
+class Adj(NamedTuple):
     """One adjacency entry at node ``u``: edge ``eid`` connects ``u`` to
     ``other``; ``outgoing`` is True iff the edge is directed ``u -> other``."""
 
@@ -55,29 +74,36 @@ class LocalGraph:
         node_labels: Mapping[int, str] | None = None,
         node_types: Mapping[int, frozenset[str] | set[str]] | None = None,
     ) -> None:
-        self.edges: dict[int, Edge] = {}
-        adj: dict[int, list[Adj]] = {}
-        for e in edges:
-            if e.id in self.edges:
-                raise ValueError(f"duplicate edge id {e.id}")
-            self.edges[e.id] = e
-            adj.setdefault(e.src, []).append(Adj(e.id, e.dst, True, e.label))
-            adj.setdefault(e.dst, []).append(Adj(e.id, e.src, False, e.label))
-        self.node_labels: dict[int, str] = dict(node_labels or {})
-        self.node_types: dict[int, frozenset[str]] = {
-            n: frozenset(ts) for n, ts in (node_types or {}).items()
-        }
-        nodes = set(adj)
-        nodes.update(self.node_labels)
-        nodes.update(self.node_types)
-        self.nodes: frozenset[int] = frozenset(nodes)
-        # Deterministic adjacency order (by edge id) so default search
-        # order is reproducible run-to-run.
-        self.adj: dict[int, tuple[Adj, ...]] = {
-            n: tuple(sorted(entries, key=lambda a: a.eid))
-            for n, entries in adj.items()
-        }
-        self.degree: dict[int, int] = {n: len(self.adj.get(n, ())) for n in nodes}
+        # Three records per edge and no reference cycles: see gc_paused.
+        with gc_paused():
+            self.edges: dict[int, Edge] = {}
+            adj: dict[int, list[Adj]] = {}
+            for e in edges:
+                eid, src, label, dst = e
+                if eid in self.edges:
+                    raise ValueError(f"duplicate edge id {eid}")
+                self.edges[eid] = e
+                adj.setdefault(src, []).append(Adj(eid, dst, True, label))
+                adj.setdefault(dst, []).append(Adj(eid, src, False, label))
+            self.node_labels: dict[int, str] = dict(node_labels or {})
+            self.node_types: dict[int, frozenset[str]] = {
+                n: frozenset(ts) for n, ts in (node_types or {}).items()
+            }
+            nodes = set(adj)
+            nodes.update(self.node_labels)
+            nodes.update(self.node_types)
+            self.nodes: frozenset[int] = frozenset(nodes)
+            # Deterministic adjacency order, so default search order is
+            # reproducible run-to-run: by edge id alone, and stable, so a
+            # self-loop keeps its outgoing entry first.
+            eid_of = itemgetter(0)
+            self.adj: dict[int, tuple[Adj, ...]] = {
+                n: tuple(sorted(entries, key=eid_of))
+                for n, entries in adj.items()
+            }
+            self.degree: dict[int, int] = {
+                n: len(self.adj.get(n, ())) for n in nodes
+            }
         self._in_adj: dict[int, tuple[Adj, ...]] = {}   # see in_adj_of
 
     # ---- convenience -----------------------------------------------------
@@ -124,9 +150,10 @@ class LocalGraph:
     def to_pandas(self) -> dict[str, pd.DataFrame]:
         """The three relational tables as pandas frames (also what the
         DuckDB oracle registers)."""
+        import pandas as pd
+
         edges = pd.DataFrame(
-            [(e.id, e.src, e.label, e.dst) for e in self.edges.values()]
-            or None,
+            list(self.edges.values()) or None,
             columns=["id", "src", "label", "dst"],
         )
         nodes = pd.DataFrame(

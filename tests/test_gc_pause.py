@@ -1,8 +1,8 @@
 """The entry points of ``repro.core`` pause the cyclic garbage collector
-for the life of a search. The pause must hand back the caller's collector
-state, and a search must leave no reference cycle behind: with the
-collector paused, a cycle would outlive the search until the next full
-collection."""
+for the life of a search, and ``LocalGraph`` pauses it for its build. The
+pause must hand back the caller's collector state, and neither a search
+nor a build may leave a reference cycle behind: with the collector
+paused, a cycle would outlive it until the next full collection."""
 import gc
 from types import GeneratorType
 
@@ -14,6 +14,7 @@ from repro.core.engine import CTPSearch
 from repro.core.filters import CTPFilters
 from repro.core.tree import ResultTree, RTree
 from repro.graph import generators as gen
+from repro.graph.model import Edge, LocalGraph
 from repro.graph.random_graphs import random_graph
 
 
@@ -54,6 +55,35 @@ def test_gc_state_restored(algo, enabled):
         assert gc.isenabled() == enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_gc_state_restored_by_graph_build(enabled):
+    edges = [Edge(0, 1, "a", 2), Edge(1, 2, "b", 2)]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        LocalGraph(edges, {1: "one"}, {2: {"t"}})
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError, match="duplicate edge id 1"):
+            LocalGraph(edges + [Edge(1, 2, "c", 1)])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: random_graph(30, 60, seed=5),
+    lambda: LocalGraph([Edge(i, i % 7, "a", (3 * i) % 11) for i in range(40)],
+                       {n: f"n{n}" for n in range(11)},
+                       {n: {"t", f"u{n % 2}"} for n in range(11)}),
+], ids=["random_graph", "edge_list"])
+def test_graph_build_leaves_no_cycles(graph):
+    gc.collect()
+    g = graph()
+    g.in_adj_of(1)   # the UNI adjacency, built on first use
+    del g
+    assert gc.collect() == 0
 
 
 def search_state():

@@ -189,6 +189,14 @@ def test_cdf_links_recorded():
         assert tl in b.top_leaves
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_cdf_links_drawn_with_replacement(m):
+    """Two links may share both ends (the ``cdf`` docstring's example)."""
+    b = gen.cdf(m, n_t=128, n_l=256, s_l=3, seed=17)
+    assert len(b.links) == 256
+    assert len(set(b.links)) == 255
+
+
 def test_cdf_m3_links_are_sibling_pairs():
     b = gen.cdf(3, 2, 4, 3, seed=3)
     units = set(b.bottom_units)

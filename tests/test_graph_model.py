@@ -1,6 +1,12 @@
 """Unit tests for the graph data model (repro.graph.model)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.graph.model import Adj, Edge, LocalGraph
 
 
@@ -31,6 +37,53 @@ def test_adjacency_sorted_by_edge_id(tiny):
     for n in tiny.nodes:
         eids = [a.eid for a in tiny.adj_of(n)]
         assert eids == sorted(eids)
+
+
+def test_self_loop_lists_its_outgoing_entry_first():
+    """The adjacency is sorted on the edge id alone, and stably: a
+    self-loop's two entries keep their build order, outgoing first. A sort
+    on the whole record would put ``False`` before ``True``."""
+    g = LocalGraph([Edge(0, 1, "a", 2), Edge(1, 2, "b", 2)])
+    assert g.adj_of(2) == ((0, 1, False, "a"), (1, 2, True, "b"),
+                           (1, 2, False, "b"))
+
+
+def test_adjacency_order_of_edges_given_out_of_id_order():
+    g = LocalGraph([Edge(5, 1, "a", 2), Edge(2, 2, "b", 1), Edge(3, 1, "c", 1),
+                    Edge(0, 2, "a", 1)])
+    assert g.adj_of(1) == (
+        Adj(0, 2, False, "a"), Adj(2, 2, False, "b"), Adj(3, 1, True, "c"),
+        Adj(3, 1, False, "c"), Adj(5, 2, True, "a"),
+    )
+    assert g.adj_of(2) == (
+        Adj(0, 1, True, "a"), Adj(2, 1, True, "b"), Adj(5, 1, False, "a"),
+    )
+
+
+@pytest.mark.parametrize("record", [Edge(0, 1, "a", 2), Adj(0, 2, True, "a")])
+def test_records_are_immutable_and_hashable(record):
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 9)
+    assert hash(record) == hash(type(record)(*record))
+    assert {record, type(record)(*record)} == {record}
+
+
+def test_search_path_imports_neither_pandas_nor_pyspark():
+    """The in-memory graph and search load no table library: only
+    ``to_pandas`` and ``to_spark`` need one, and import it when called."""
+    code = (
+        "import sys, repro.core, repro.graph.generators, "
+        "repro.graph.random_graphs; "
+        "print(sorted(m for m in ('pandas', 'pyspark') if m in sys.modules))"
+    )
+    src = str(Path(repro.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_degree(tiny):
