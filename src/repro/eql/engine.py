@@ -16,14 +16,13 @@
 (C) the CTP tables and the BGP frames, pandas frames on the driver, are
     natural-joined, projected on the head and de-duplicated. One
     ``createDataFrame``, coalesced to one partition, hands the answer to
-    Spark. Nothing is cached.
+    Spark. A tree variable ``w`` is bound as ``array<long>`` of its sorted
+    edge ids (``size(w)`` is the tree's size). Nothing is cached.
 """
 from __future__ import annotations
 
-import itertools
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import pandas as pd
 from pyspark import inheritable_thread_target
@@ -48,24 +47,14 @@ SCORE_REGISTRY = {
 def filters_from_spec(
     spec: CTPFilterSpec, defaults: CTPFilters = CTPFilters()
 ) -> CTPFilters:
-    kw: dict = {}
-    if spec.uni:
-        kw["uni"] = True
-    if spec.labels is not None:
-        kw["labels"] = spec.labels
-    if spec.max_edges is not None:
-        kw["max_edges"] = spec.max_edges
-    if spec.limit is not None:
-        kw["limit"] = spec.limit
-    if spec.top_k is not None:
-        kw["top_k"] = spec.top_k
-    if spec.timeout_s is not None:
-        kw["timeout_s"] = spec.timeout_s
-    if spec.score is not None:
-        if spec.score not in SCORE_REGISTRY:
-            raise ValueError(f"unknown SCORE {spec.score!r}; known: "
+    """``defaults`` overridden by every field of ``spec`` that differs
+    from its default, the SCORE name resolved through ``SCORE_REGISTRY``."""
+    kw = {f.name: v for f in fields(spec) if (v := getattr(spec, f.name)) != f.default}
+    if "score" in kw:
+        if kw["score"] not in SCORE_REGISTRY:
+            raise ValueError(f"unknown SCORE {kw['score']!r}; known: "
                              + ", ".join(SCORE_REGISTRY))
-        kw["score"] = SCORE_REGISTRY[spec.score]
+        kw["score"] = SCORE_REGISTRY[kw["score"]]
     return defaults.with_(**kw) if kw else defaults
 
 
@@ -73,8 +62,9 @@ def filters_from_spec(
 class EQLReport:
     """Evaluation artifacts: per CTP its table (a pandas frame), seed sets
     and search outcome, plus the answer of step (C). ``result`` is a Spark
-    DataFrame of one partition made from the driver-side answer; its
-    schema is the same whether or not it is empty."""
+    DataFrame of one partition made from the driver-side answer, with ``w``
+    an ``array<long>`` of sorted edge ids (``size(w)`` is the tree's size);
+    its schema is the same whether or not it is empty."""
 
     ctp_tables: list[pd.DataFrame] = field(default_factory=list)
     seed_sets: list[list] = field(default_factory=list)
@@ -116,26 +106,31 @@ class EQLEngine:
         results: list[ResultTree],
         scored: bool,
     ) -> pd.DataFrame:
-        """Materialize set-based CTP results as a table with one column
-        per seed variable, plus the tree variable columns. The dtypes are
-        fixed, so an empty table joins like a full one."""
+        """The CTP results as a table, built column by column: a concrete
+        seed variable binds to the result's seed, an N variable (§4.9: any
+        node matches an N set) to each node of the tree, one row per node,
+        so two N variables give the product of their rows; ``w`` holds the
+        tuple of the tree's sorted edge ids, and ``w_score`` the score of a
+        scored CTP. The dtypes are fixed, so an empty table joins like a
+        full one."""
         w = ctp.tree_var
-        dtypes = {p.var: "int64" for p in ctp.preds} | {w: str, f"{w}_size": "int64"}
+        n_vars = [p.var for p, s in zip(ctp.preds, seed_sets) if is_all_nodes(s)]
+        cols = {
+            p.var: [sorted(rt.nodes) for rt in results] if p.var in n_vars
+            else [rt.seed_of(i) for rt in results]
+            for i, p in enumerate(ctp.preds)
+        }
+        cols[w] = [tuple(sorted(rt.edges)) for rt in results]
+        dtypes = {p.var: "int64" for p in ctp.preds}
         if scored:
+            cols[f"{w}_score"] = [rt.score for rt in results]
             dtypes[f"{w}_score"] = "float64"
-        rows = []
-        for rt in results:
-            tree_json = json.dumps(sorted(rt.edges))
-            base = [tree_json, rt.size] + ([rt.score] if scored else [])
-            # Concrete seed-set variables bind to the tuple's seed; an N
-            # variable binds to each node of the tree (§4.9 / adjusted
-            # Def. 2.8: any node matches an N set), one row per choice.
-            bindings = [
-                sorted(rt.nodes) if is_all_nodes(s) else [rt.seed_of(i)]
-                for i, s in enumerate(seed_sets)
-            ]
-            rows += [[*seeds, *base] for seeds in itertools.product(*bindings)]
-        return pd.DataFrame(rows, columns=list(dtypes)).astype(dtypes)
+        table = pd.DataFrame(cols)
+        # One variable at a time: exploding several columns in one call
+        # would zip their lists instead of taking their product.
+        for v in n_vars:
+            table = table.explode(v, ignore_index=True)
+        return table.astype(dtypes)
 
     # ---- step (A): one BGP ----------------------------------------------
     def _bgp_frame(self, bgp: BGP, needed: set[str]) -> pd.DataFrame | bool:
@@ -216,7 +211,7 @@ class EQLEngine:
         schema: dict[str, str] = {}
         for h in query.head:
             if h in tree_vars:
-                schema |= {h: "string", f"{h}_size": "long"}
+                schema[h] = "array<long>"
                 if f"{h}_score" in joined.columns:
                     schema[f"{h}_score"] = "double"
             else:

@@ -76,21 +76,21 @@ def scale_free(
     # Vectorized bulk draw, then reject self-loops.
     while eid < n_edges:
         k = n_edges - eid
-        us = rng.choice(n_nodes, size=k, p=w)
-        vs = rng.choice(n_nodes, size=k, p=w)
-        ls = rng.integers(len(vocab), size=k)
+        us = rng.choice(n_nodes, size=k, p=w).tolist()
+        vs = rng.choice(n_nodes, size=k, p=w).tolist()
+        ls = rng.integers(len(vocab), size=k).tolist()
         for u, v, l in zip(us, vs, ls):
             if u == v:
                 continue
-            edges.append(Edge(eid, int(u), vocab[int(l)], int(v)))
+            edges.append(Edge(eid, u, vocab[l], v))
             eid += 1
             if eid >= n_edges:
                 break
     node_labels = {n: f"e{n}" for n in range(n_nodes)}
     node_types = None
     if typed:
-        t_idx = rng.integers(len(_TYPE_VOCAB), size=n_nodes)
-        node_types = {n: {_TYPE_VOCAB[int(t_idx[n])]} for n in range(n_nodes)}
+        t_idx = rng.integers(len(_TYPE_VOCAB), size=n_nodes).tolist()
+        node_types = {n: {_TYPE_VOCAB[t]} for n, t in enumerate(t_idx)}
     return LocalGraph(edges, node_labels, node_types)
 
 

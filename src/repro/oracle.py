@@ -8,10 +8,11 @@ custom operator — "it ran" is not "it is correct".
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+``count_star()``). Array cells compare as tuples, element by element, in
+order (Spark returns lists, DuckDB numpy arrays); map/struct cells cannot be compared.
 """
 import duckdb
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -22,6 +23,8 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
     for c in pdf.select_dtypes(include=["float", "float64"]).columns:
         pdf[c] = pdf[c].round(6)
+    for c in pdf.select_dtypes(include="object").columns:
+        pdf[c] = [tuple(v) if isinstance(v, (list, np.ndarray)) else v for v in pdf[c]]
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 

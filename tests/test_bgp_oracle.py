@@ -122,3 +122,28 @@ def test_oracle_catches_wrong_result(spark, fig1_edges):
     bad_df = spark.sql("SELECT COUNT(*) + 1 AS n FROM fig1_edges")
     with pytest.raises(AssertionError):
         assert_equivalent(bad_df, good, fig1_edges=fig1_edges)
+
+
+# Spark returns array cells as lists, DuckDB as numpy arrays; both compare
+# as tuples, element by element in order. Two rows share k = 1, so the rows
+# are ordered by their arrays.
+ARRAYS_DUCKDB = "SELECT * FROM (VALUES (2, [1, 2]), (1, [3, 4]), (1, [1, 5])) t(k, w)"
+
+
+def test_oracle_compares_array_columns(spark):
+    got = spark.sql(
+        "SELECT * FROM VALUES (1, array(1L, 5L)), (2, array(1L, 2L)), "
+        "(1, array(3L, 4L)) AS t(k, w)"
+    )
+    assert_equivalent(got, ARRAYS_DUCKDB)
+
+
+@pytest.mark.parametrize("arr", ["array(1L, 3L)", "array(2L, 1L)"],
+                         ids=["element", "order"])
+def test_oracle_catches_wrong_array(spark, arr):
+    got = spark.sql(
+        f"SELECT * FROM VALUES (1, array(1L, 5L)), (2, {arr}), "
+        "(1, array(3L, 4L)) AS t(k, w)"
+    )
+    with pytest.raises(AssertionError):
+        assert_equivalent(got, ARRAYS_DUCKDB)

@@ -1,14 +1,17 @@
 """End-to-end EQL evaluation tests (§3 strategy) on the Figure 1 graph
 and CDF benchmark graphs."""
-import json
+import itertools
 import threading
+from dataclasses import fields
 
 import duckdb
 import pytest
 
 from repro.core import ALL_NODES
 from repro.core.filters import CTPFilters
+from repro.core.scoring import size_score
 from repro.eql import EQLEngine, filters_from_spec, to_sql
+from repro.eql.engine import SCORE_REGISTRY
 from repro.graph import generators as gen
 from repro.lang import parse
 from repro.lang.ast import CTPFilterSpec
@@ -37,7 +40,7 @@ def test_q1_seed_sets(fig1_engine):
 
 def test_q1_results_include_t_alpha_and_t_beta(fig1_engine):
     rep = fig1_engine.evaluate(parse(Q1))
-    trees = {tuple(json.loads(r["w"])) for r in rep.result.collect()}
+    trees = {tuple(r["w"]) for r in rep.result.collect()}
     assert (9, 10, 11) in trees      # t_alpha
     assert (1, 2, 16, 17) in trees   # t_beta (bidirectional only)
 
@@ -46,20 +49,20 @@ def test_q1_rows_carry_seed_bindings(fig1_engine):
     rep = fig1_engine.evaluate(parse(Q1))
     for r in rep.result.collect():
         assert r["x"] in (2, 4) and r["y"] in (3, 6) and r["z"] == 9
-        assert r["w_size"] >= 1
+        assert len(r["w"]) >= 1
 
 
 def test_q1_uni_filter_drops_t_beta(fig1_engine):
     q = parse(Q1.replace("*w)", "*w) UNI"))
     rep = fig1_engine.evaluate(q)
-    trees = {tuple(json.loads(r["w"])) for r in rep.result.collect()}
+    trees = {tuple(r["w"]) for r in rep.result.collect()}
     assert (1, 2, 16, 17) not in trees
 
 
 def test_q1_max_filter(fig1_engine):
     q = parse(Q1.replace("*w)", "*w) MAX 4"))
     rep = fig1_engine.evaluate(q)
-    assert all(r["w_size"] <= 4 for r in rep.result.collect())
+    assert all(len(r["w"]) <= 4 for r in rep.result.collect())
 
 
 def test_q1_score_and_top(fig1_engine):
@@ -67,7 +70,7 @@ def test_q1_score_and_top(fig1_engine):
     rep = fig1_engine.evaluate(q)
     rows = rep.result.collect()
     assert rows and all(r["w_score"] is not None for r in rows)
-    assert len({r["w"] for r in rows}) <= 2
+    assert len({tuple(r["w"]) for r in rows}) <= 2
 
 
 def test_q1_algorithms_agree(fig1_engine):
@@ -75,7 +78,7 @@ def test_q1_algorithms_agree(fig1_engine):
     for algo in ("GAM", "MoLESP", "BFT"):
         rep = fig1_engine.evaluate(parse(Q1), algo=algo)
         trees[algo] = {
-            (r["x"], r["y"], r["z"], tuple(json.loads(r["w"])))
+            (r["x"], r["y"], r["z"], tuple(r["w"]))
             for r in rep.result.collect()
         }
     assert trees["GAM"] == trees["MoLESP"] == trees["BFT"]
@@ -84,7 +87,7 @@ def test_q1_algorithms_agree(fig1_engine):
 def test_head_projection_subset(fig1_engine):
     q = parse(Q1.replace("SELECT x, y, z, w", "SELECT x, w"))
     rep = fig1_engine.evaluate(q)
-    assert set(rep.result.columns) == {"x", "w", "w_size"}
+    assert set(rep.result.columns) == {"x", "w"}
 
 
 def test_two_ctps(fig1_engine, spark):
@@ -99,7 +102,7 @@ def test_two_ctps(fig1_engine, spark):
     rep = fig1_engine.evaluate(q)
     rows = rep.result.collect()
     assert rows
-    assert all(json.loads(r["w2"]).__len__() <= 3 for r in rows)
+    assert all(len(r["w2"]) <= 3 for r in rows)
 
 
 def test_n_seed_set_query(fig1_engine):
@@ -110,7 +113,25 @@ def test_n_seed_set_query(fig1_engine):
     rows = rep.result.collect()
     # Alice's 0/1/2-edge neighborhood, n bound to every tree node.
     assert any(r["n"] != r["a"] for r in rows)
-    assert all(r["w_size"] <= 2 for r in rows)
+    assert all(len(r["w"]) <= 2 for r in rows)
+
+
+def test_two_n_variables_give_the_product_of_tree_nodes(fig1_engine):
+    """Each N variable binds to every node of the tree on its own, so two
+    of them give every (n1, n2) pair of the tree's nodes: |nodes(t)|^2 rows
+    per tree t, not the |nodes(t)| rows of zipping the two bindings."""
+    q = parse('SELECT a, n1, n2, w WHERE CTP(a{label="Alice"}, n1, n2, *w) MAX 2')
+    rep = fig1_engine.evaluate(q)
+    results = rep.ctp_outcomes[0].results
+    table = rep.ctp_tables[0]
+    assert len(results) == 13
+    assert len(table) == sum(len(rt.nodes) ** 2 for rt in results) == 89
+    assert rep.result.count() == 89
+    for rt in results:
+        rows = table[table["w"] == tuple(sorted(rt.edges))]
+        assert sorted(zip(rows["n1"], rows["n2"])) == sorted(
+            itertools.product(rt.nodes, repeat=2)
+        )
 
 
 @pytest.mark.parametrize(
@@ -142,15 +163,15 @@ def test_empty_guard_bgp_keeps_result_schema(fig1_engine):
     full = fig1_engine.evaluate(parse(guard.format("citizenOf"))).result
     assert empty.count() == 0 and full.count() > 0
     assert empty.dtypes == full.dtypes == [
-        ("x", "bigint"), ("w", "string"), ("w_size", "bigint")
+        ("x", "bigint"), ("w", "array<bigint>")
     ]
 
 
 @pytest.mark.parametrize("text, dtypes", [
     ('SELECT w WHERE CTP(x{label="noSuchNode"}, y{label="Alice"}, *w)',
-     [("w", "string"), ("w_size", "bigint")]),
+     [("w", "array<bigint>")]),
     ('SELECT x, w WHERE (x, "noSuchEdge", y) AND CTP(x, "Alice", *w)',
-     [("x", "bigint"), ("w", "string"), ("w_size", "bigint")]),
+     [("x", "bigint"), ("w", "array<bigint>")]),
 ], ids=["predicate", "bgp"])
 def test_empty_seed_set_gives_empty_answer(fig1_engine, text, dtypes):
     """A seed set that a predicate or a BGP leaves empty is not searched:
@@ -173,7 +194,7 @@ def test_limit_zero_gives_empty_answer(fig1_engine):
     assert outcome.stop == "limit" and not outcome.results
     assert rep.result.count() == 0
     assert rep.result.dtypes == [
-        ("x", "bigint"), ("w", "string"), ("w_size", "bigint")
+        ("x", "bigint"), ("w", "array<bigint>")
     ]
 
 
@@ -252,7 +273,7 @@ def test_empty_guard_among_bound_bgps(fig1_engine):
     full = fig1_engine.evaluate(parse(_guarded("citizenOf"))).result
     assert empty.count() == 0 and full.count() > 0
     assert empty.dtypes == full.dtypes == [
-        ("x", "bigint"), ("y", "bigint"), ("w", "string"), ("w_size", "bigint"),
+        ("x", "bigint"), ("y", "bigint"), ("w", "array<bigint>"),
     ]
 
 
@@ -269,6 +290,26 @@ def test_filters_from_spec_merges_defaults():
     )
     assert f.uni and f.max_edges == 3 and f.timeout_s == 5.0
     assert filters_from_spec(CTPFilterSpec(), CTPFilters(limit=2)).limit == 2
+
+
+# One value per CTPFilterSpec field that differs from its default; a field
+# added to the grammar must get one here.
+_SPEC_VALUES = {
+    "uni": True, "labels": frozenset({"citizenOf"}), "max_edges": 3,
+    "top_k": 2, "limit": 5, "score": "diversity", "timeout_s": 1.5,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(CTPFilterSpec)])
+def test_filters_from_spec_carries_every_field(name):
+    """A spec that sets only ``name`` gives the defaults with that field
+    set, SCORE resolved by name; no field of the grammar is dropped."""
+    defaults = CTPFilters(score=size_score)
+    value = _SPEC_VALUES[name]
+    f = filters_from_spec(CTPFilterSpec(**{name: value}), defaults)
+    expected = SCORE_REGISTRY[value] if name == "score" else value
+    assert getattr(f, name) == expected
+    assert f == defaults.with_(**{name: expected})
 
 
 # ---- CDF integration (the §5.5.1 workloads at test scale) ----------------
@@ -404,6 +445,6 @@ def test_multi_queue_mode_same_results(fig1_engine):
     a = fig1_engine.evaluate(parse(Q1))
     b = fig1_engine.evaluate(parse(Q1), multi_queue=True)
     rows = lambda rep: {
-        (r["x"], r["y"], r["z"], r["w"]) for r in rep.result.collect()
+        (r["x"], r["y"], r["z"], tuple(r["w"])) for r in rep.result.collect()
     }
     assert rows(a) == rows(b)
