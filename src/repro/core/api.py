@@ -27,19 +27,21 @@ def _run(search: type[CTPSearch], *args) -> SearchOutcome:
         return search(*args).run()
 
 
-def bft(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
-    """§4.1 breadth-first baseline (complete; minimizes results)."""
-    return _run(BFTSearch, g, seed_sets, "none", filters)
+def _bft(name: str, merge: str, doc: str):
+    def run(g: LocalGraph, seed_sets: list, filters: CTPFilters = CTPFilters(), *,
+            rng_seed=None, multi_queue=False) -> SearchOutcome:
+        if rng_seed is not None or multi_queue:
+            raise ValueError(f"{name} takes no rng_seed and no multi_queue")
+        return _run(BFTSearch, g, seed_sets, merge, filters)
+
+    run.__name__ = run.__qualname__ = name.lower().replace("-", "_")
+    run.__doc__ = doc
+    return run
 
 
-def bft_m(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
-    """§4.3 BFT with single-level Merge."""
-    return _run(BFTSearch, g, seed_sets, "once", filters)
-
-
-def bft_am(g, seed_sets, filters: CTPFilters = CTPFilters(), **_ignored) -> SearchOutcome:
-    """§4.3 BFT with aggressive Merge."""
-    return _run(BFTSearch, g, seed_sets, "aggressive", filters)
+bft = _bft("BFT", "none", "§4.1 breadth-first baseline (complete; minimizes results).")
+bft_m = _bft("BFT-M", "once", "§4.3 BFT with single-level Merge.")
+bft_am = _bft("BFT-AM", "aggressive", "§4.3 BFT with aggressive Merge.")
 
 
 # The §4 rooted algorithms are one engine under these SearchConfig presets.

@@ -79,6 +79,7 @@ class EQLEngine:
         self.spark = spark
         self.graph = graph
         self.dfs = graph.to_spark(spark)
+        # Needed before any evaluate: perfbench's eql_yago oracle runs to_sql's SQL.
         for name, df in self.dfs.items():
             df.createOrReplaceTempView(name)
 

@@ -6,8 +6,8 @@ Grammar (whitespace/newline insensitive)::
     query   := SELECT var (, var)* WHERE clause (AND clause)*
     clause  := '(' pred ',' pred ',' pred ')'                 -- edge pattern
              | CTP '(' pred (',' pred)+ ',' '*'var ')' filter*
-    filter  := UNI | LABEL '{' name (',' name)* '}' | MAX int
-             | TOP int | LIMIT int | TIMEOUT float | SCORE name
+    filter  := UNI | LABEL '{' name (',' name)* '}' | MAX int    -- each at
+             | TOP int | LIMIT int | TIMEOUT float | SCORE name  -- most once
     pred    := '"' constant '"'                               -- label(v)=c
              | var
              | var '{' cond (',' cond)* '}'
@@ -37,10 +37,6 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
-
-_KEYWORDS = {"SELECT", "WHERE", "AND", "CTP", "UNI", "LABEL", "MAX", "TOP",
-             "LIMIT", "TIMEOUT", "SCORE"}
-
 
 class ParseError(ValueError):
     pass
@@ -80,78 +76,82 @@ class _Tokens:
         return t is not None and t[0] == "name" and t[1].upper() == kw
 
 
+def _braced(ts: _Tokens, item) -> list:
+    """``{ item (, item)* }``: the values that ``item(ts)`` reads."""
+    ts.expect("{")
+    items = [item(ts)]
+    while (sep := ts.next()[1]) == ",":
+        items.append(item(ts))
+    if sep != "}":
+        raise ParseError(f"expected , or }}, got {sep!r}")
+    return items
+
+
+def _cond(ts: _Tokens) -> Cond:
+    _, prop = ts.next()
+    if prop not in ("label", "type"):
+        raise ParseError(f"unknown property {prop!r}")
+    _, op = ts.next()
+    if op not in ("=", "~", "<", "<="):
+        raise ParseError(f"unknown operator {op!r}")
+    k, val = ts.next()
+    if k != "str":
+        raise ParseError(f"condition value must be quoted: {val!r}")
+    return Cond(prop, op, val[1:-1])
+
+
 def _parse_pred(ts: _Tokens) -> Pred:
     kind, v = ts.next()
     if kind == "str":
         return const(v[1:-1])
     if kind != "name":
         raise ParseError(f"expected predicate, got {v!r}")
-    varname = v
     t = ts.peek()
     if t is not None and t[1] == "{":
-        ts.next()
-        conds = []
-        while True:
-            _, prop = ts.next()
-            if prop not in ("label", "type"):
-                raise ParseError(f"unknown property {prop!r}")
-            _, op = ts.next()
-            if op not in ("=", "~", "<", "<="):
-                raise ParseError(f"unknown operator {op!r}")
-            k2, val = ts.next()
-            if k2 != "str":
-                raise ParseError(f"condition value must be quoted: {val!r}")
-            conds.append(Cond(prop, op, val[1:-1]))
-            k3, sep = ts.next()
-            if sep == "}":
-                break
-            if sep != ",":
-                raise ParseError(f"expected , or }} in conditions, got {sep!r}")
-        return Pred(varname, tuple(conds))
-    return Pred(varname)
+        return Pred(v, tuple(_braced(ts, _cond)))
+    return Pred(v)
+
+
+def _label(ts: _Tokens) -> str:
+    k, v = ts.next()
+    if k not in ("str", "name"):
+        raise ParseError(f"bad label {v!r}")
+    return v[1:-1] if k == "str" else v
+
+
+def _token(kind: str, convert=str):
+    """A filter value reader: one token of ``kind``, converted."""
+    def read(ts: _Tokens):
+        k, v = ts.next()
+        if k != kind:
+            raise ParseError(f"expected a {kind} token, got {v!r}")
+        return convert(v)
+    return read
+
+
+# Each CTP filter keyword: the CTPFilterSpec field it sets, and its reader.
+_FILTERS = {
+    "UNI": ("uni", lambda ts: True),
+    "LABEL": ("labels", lambda ts: frozenset(_braced(ts, _label))),
+    "MAX": ("max_edges", _token("num", int)),
+    "TOP": ("top_k", _token("num", int)),
+    "LIMIT": ("limit", _token("num", int)),
+    "TIMEOUT": ("timeout_s", _token("num", float)),
+    "SCORE": ("score", _token("name")),
+}
 
 
 def _parse_ctp_filters(ts: _Tokens) -> CTPFilterSpec:
     spec: dict = {}
-    while True:
-        t = ts.peek()
-        if t is None or t[0] != "name" or t[1].upper() not in _KEYWORDS - {
-            "SELECT", "WHERE", "CTP"
-        }:
-            break
+    while (t := ts.peek()) and t[0] == "name" and t[1].upper() in _FILTERS:
         kw = ts.next()[1].upper()
-        if kw == "AND":
-            ts.i -= 1
-            break
-        if kw == "UNI":
-            spec["uni"] = True
-        elif kw == "LABEL":
-            ts.expect("{")
-            labels = []
-            while True:
-                k, v = ts.next()
-                if k == "str":
-                    labels.append(v[1:-1])
-                elif k == "name":
-                    labels.append(v)
-                else:
-                    raise ParseError(f"bad label {v!r}")
-                _, sep = ts.next()
-                if sep == "}":
-                    break
-                if sep != ",":
-                    raise ParseError(f"expected , or }} in LABEL, got {sep!r}")
-            spec["labels"] = frozenset(labels)
-        elif kw == "MAX":
-            spec["max_edges"] = int(ts.next()[1])
-        elif kw == "TOP":
-            spec["top_k"] = int(ts.next()[1])
-        elif kw == "LIMIT":
-            spec["limit"] = int(ts.next()[1])
-        elif kw == "TIMEOUT":
-            spec["timeout_s"] = float(ts.next()[1])
-        elif kw == "SCORE":
-            spec["score"] = ts.next()[1]
+        field, read = _FILTERS[kw]
+        if field in spec:
+            raise ParseError(f"{kw} given twice in one CTP")
+        try:
+            spec[field] = read(ts)
+        except ValueError as e:  # ParseError included
+            raise ParseError(f"{kw}: {e}") from None
     return CTPFilterSpec(**spec)
 
 
@@ -177,7 +177,6 @@ def parse(text: str) -> Query:
             ts.next()
             ts.expect("(")
             preds: list[Pred] = []
-            tree_var: str | None = None
             while True:
                 t = ts.peek()
                 if t is not None and t[1] == "*":
@@ -192,8 +191,6 @@ def parse(text: str) -> Query:
                 _, sep = ts.next()
                 if sep != ",":
                     raise ParseError(f"expected , in CTP, got {sep!r}")
-            if tree_var is None:
-                raise ParseError("CTP must end with *treeVar")
             ctps.append(CTP(tuple(preds), tree_var, _parse_ctp_filters(ts)))
         else:
             ts.expect("(")

@@ -62,6 +62,21 @@ def test_bft_rejects_all_nodes_sets():
         bft(b.graph, [b.seed_sets[0], ALL_NODES])
 
 
+@pytest.mark.parametrize("algo", ALL_BFT)
+@pytest.mark.parametrize(
+    "option", [{"multi_queue": True}, {"rng_seed": 5}], ids=["multi_queue", "rng_seed"]
+)
+def test_bft_rejects_rooted_options(algo, option):
+    """BFT has one queue and no tie order to draw, so it rejects the
+    rooted engine's options instead of running without them; an unknown
+    keyword is a TypeError."""
+    b = gen.fig3()
+    with pytest.raises(ValueError, match=next(iter(option))):
+        algo(b.graph, b.seed_sets, **option)
+    with pytest.raises(TypeError):
+        algo(b.graph, b.seed_sets, filter=CTPFilters(limit=1))
+
+
 def test_bft_max_built_budget_cuts_search():
     b = gen.star(6, 2)
     out = bft(b.graph, b.seed_sets, filters=CTPFilters(max_built=10))

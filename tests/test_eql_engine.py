@@ -12,6 +12,7 @@ from repro.core.filters import CTPFilters
 from repro.core.scoring import size_score
 from repro.eql import EQLEngine, filters_from_spec, to_sql
 from repro.eql.engine import SCORE_REGISTRY
+from repro.experiments.cdf_eql import Q_M2, Q_M3
 from repro.graph import generators as gen
 from repro.lang import parse
 from repro.lang.ast import CTPFilterSpec
@@ -82,6 +83,11 @@ def test_q1_algorithms_agree(fig1_engine):
             for r in rep.result.collect()
         }
     assert trees["GAM"] == trees["MoLESP"] == trees["BFT"]
+
+
+def test_bft_rejects_multi_queue(fig1_engine):
+    with pytest.raises(ValueError, match="multi_queue"):
+        fig1_engine.evaluate(parse(Q1), algo="BFT", multi_queue=True)
 
 
 def test_head_projection_subset(fig1_engine):
@@ -314,25 +320,10 @@ def test_filters_from_spec_carries_every_field(name):
 
 # ---- CDF integration (the §5.5.1 workloads at test scale) ----------------
 
-CDF_Q2 = '''
-SELECT tl, bl, l
-WHERE (x, "c", tl)
-AND (v, "g", bl)
-AND CTP(tl, bl, *l)
-'''
-
-CDF_Q3 = '''
-SELECT tl, bl1, bl2, l
-WHERE (x, "c", tl)
-AND (v, "g", bl1)
-AND (v, "h", bl2)
-AND CTP(tl, bl1, bl2, *l)
-'''
-
 
 def test_cdf_m2_one_result_per_link(spark):
     b = gen.cdf(2, n_t=3, n_l=6, s_l=3, seed=4)
-    rep = EQLEngine(spark, b.graph).evaluate(parse(CDF_Q2))
+    rep = EQLEngine(spark, b.graph).evaluate(parse(Q_M2))
     rows = rep.result.collect()
     # One tree per link instance; links sharing (tl, bl) produce parallel
     # paths, i.e. distinct trees for the same pair.
@@ -344,8 +335,8 @@ def test_cdf_m2_uni_equivalent_here(spark):
     """CDF links are directed top->bottom, so UNI finds the same rows."""
     b = gen.cdf(2, n_t=3, n_l=6, s_l=3, seed=4)
     eng = EQLEngine(spark, b.graph)
-    n_bi = eng.evaluate(parse(CDF_Q2)).result.count()
-    n_uni = eng.evaluate(parse(CDF_Q2.replace("*l)", "*l) UNI"))).result.count()
+    n_bi = eng.evaluate(parse(Q_M2)).result.count()
+    n_uni = eng.evaluate(parse(Q_M2.replace("*l)", "*l) UNI"))).result.count()
     assert n_bi == n_uni == len(b.links)
 
 
@@ -354,7 +345,7 @@ def test_cdf_m3_join_filters_extra_trees(spark):
     BGP join keeps only trees for (tl, bl1, bl2) sibling triples — §5.5.1's
     'filtered by the join' observation."""
     b = gen.cdf(3, n_t=3, n_l=5, s_l=3, seed=5)
-    rep = EQLEngine(spark, b.graph).evaluate(parse(CDF_Q3))
+    rep = EQLEngine(spark, b.graph).evaluate(parse(Q_M3))
     ctp_found = len(rep.ctp_outcomes[0].results)
     joined = rep.result.count()
     assert joined < ctp_found  # the join filtered something
@@ -365,7 +356,7 @@ def test_cdf_m3_join_filters_extra_trees(spark):
 def test_cdf_m3_uni_exactly_links(spark):
     b = gen.cdf(3, n_t=3, n_l=5, s_l=3, seed=5)
     rep = EQLEngine(spark, b.graph).evaluate(
-        parse(CDF_Q3.replace("*l)", "*l) UNI"))
+        parse(Q_M3.replace("*l)", "*l) UNI"))
     )
     rows = rep.result.collect()
     assert {(r["tl"], r["bl1"], r["bl2"]) for r in rows} == set(b.links)
@@ -436,7 +427,7 @@ def test_fig1_join_matches_duckdb(fig1_engine, text):
 @pytest.mark.parametrize("uni", [True, False], ids=["uni", "bidir"])
 def test_cdf_m3_join_matches_duckdb(spark, uni):
     b = gen.cdf(3, n_t=3, n_l=5, s_l=3, seed=5)
-    q = parse(CDF_Q3.replace("*l)", "*l) UNI") if uni else CDF_Q3)
+    q = parse(Q_M3.replace("*l)", "*l) UNI") if uni else Q_M3)
     rep = EQLEngine(spark, b.graph).evaluate(q)
     _assert_join_matches_duckdb(b.graph, q, rep)
 

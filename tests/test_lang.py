@@ -121,6 +121,23 @@ def test_parse_limit_and_score():
     assert f.score == "size" and f.limit == 1
 
 
+@pytest.mark.parametrize("filters, kw", [
+    ("MAX x", "MAX"), ("LIMIT 2.5", "LIMIT"), ("TIMEOUT soon", "TIMEOUT"),
+    ("TOP", "TOP"), ("SCORE 5", "SCORE"), ("LABEL {up} LABEL {down}", "LABEL"),
+    ("MAX 2 UNI MAX 3", "MAX"),
+])
+def test_malformed_filter_is_a_parse_error_naming_it(filters, kw):
+    """A filter without its value, with a value of the wrong kind, or
+    given twice in one CTP is a ParseError that names the keyword."""
+    with pytest.raises(ParseError, match=kw):
+        parse(f'SELECT w WHERE CTP("A", "B", *w) {filters}')
+
+
+def test_each_ctp_takes_its_own_filters():
+    q = parse('SELECT w, v WHERE CTP("A", "B", *w) MAX 2 AND CTP("A", "C", *v) MAX 3')
+    assert [c.filters.max_edges for c in q.ctps] == [2, 3]
+
+
 def test_parse_label_pattern_pred():
     q = parse('SELECT x WHERE (x{label~"*lice"}, "knows", y) AND CTP(x, y, *w)')
     (cond,) = q.bgps[0].patterns[0].s.conds
