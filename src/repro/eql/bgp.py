@@ -1,22 +1,24 @@
 """BGP -> SQL compiler (step (A) of the §3 evaluation strategy).
 
 Each Basic Graph Pattern compiles to one conjunctive SQL query over the
-relational graph encoding ``edges(id, src, label, dst)``, ``nodes(id,
-label)``, ``types(id, type)`` — mirroring the paper's
-``graph(id, source, edgeLabel, target)`` PostgreSQL table. The FROM clause
-holds only ``edges``, one alias per edge variable: a node variable is the
-endpoint column it first appears in, and its conditions are semi-joins
-(``EXISTS``) on ``types`` or ``nodes``.
+one-table graph encoding ``edges(id, src, label, dst, src_label,
+dst_label, src_types, dst_types)``, the paper's ``graph(id, source,
+edgeLabel, target)`` PostgreSQL table with each endpoint's label and
+types on the edge row. The FROM clause holds one ``edges`` alias per edge
+variable: a node variable is the endpoint column it first appears in
+(``e_0.src``), and its conditions are predicates on that endpoint's
+columns of the same row (``e_0.src_label``, ``e_0.src_types``). A
+one-pattern BGP is therefore one filtered scan, with no join.
 
-Every join is broadcast by a hint, since Spark runs with automatic
-broadcast joins off: each ``EXISTS`` subquery broadcasts its ``types`` or
-``nodes`` side, and a BGP with k ≥ 2 edge aliases broadcasts ``e_1`` to
-``e_{k-1}`` against ``e_0``. No broadcast side is larger than the graph,
-which the driver already holds as a ``LocalGraph``.
+Spark runs with automatic broadcast joins off, so a BGP with k ≥ 2 edge
+aliases broadcasts ``e_1`` to ``e_{k-1}`` against ``e_0`` by hint. No
+broadcast side is larger than the graph, which the driver already holds
+as a ``LocalGraph``.
 
 The emitted SQL is deliberately engine-neutral: the same string runs on
-Spark (Catalyst) and on DuckDB, which reads the hints as comments; that
-is how the oracle tests validate the compiler.
+Spark (Catalyst) and on DuckDB, which reads the hints as comments and
+needs the ``size`` macro of :func:`repro.oracle.connect`; that is how
+the oracle tests validate the compiler.
 """
 from __future__ import annotations
 
@@ -52,20 +54,19 @@ def _cond_sql(col: str, c: Cond) -> str:
     return f"{col} {c.op} {_sql_quote(c.value)}"
 
 
-def _node_cond_sql(node_id: str, c: Cond) -> str:
-    """A condition on the node whose id is the column ``node_id``, as a
-    semi-join on ``types`` or ``nodes``, broadcast by a hint inside the
-    subquery."""
+def _node_cond_sql(end: str, c: Cond) -> str:
+    """A condition on the node at the endpoint column ``end`` (``e_0.src``),
+    on that endpoint's label or types columns of the same edge row. A type
+    condition holds if some type of the node satisfies it."""
     if c.prop == "label":
-        table, alias, col = "nodes", "n", "n.label"
-    elif c.prop == "type":
-        table, alias, col = "types", "t", "t.type"
-    else:
+        return _cond_sql(f"{end}_label", c)
+    if c.prop != "type":
         raise ValueError(f"unsupported node property {c.prop!r}")
-    return (
-        f"EXISTS (SELECT /*+ BROADCAST({alias}) */ 1 FROM {table} {alias} "
-        f"WHERE {alias}.id = {node_id} AND {_cond_sql(col, c)})"
-    )
+    if c.op == "=":
+        return f"array_contains({end}_types, {_sql_quote(c.value)})"
+    # No array length function has one name on both engines (Spark's
+    # ``size``, DuckDB's ``len``): repro.oracle.connect defines ``size``.
+    return f"size(filter({end}_types, t -> {_cond_sql('t', c)})) > 0"
 
 
 def _edge_cond_sql(alias: str, c: Cond) -> str:
@@ -80,11 +81,9 @@ def to_sql(bgp: BGP, project: list[str] | None = None) -> str:
 
     Only ``edges`` is scanned. A node variable binds to the first
     edge-endpoint column it appears in (``e_0.src``); each later
-    occurrence adds an equality (``e_1.src = e_0.src``). This relies on
-    the invariant of ``LocalGraph.to_spark``: every edge endpoint is in
-    ``nodes`` exactly once (``nodes`` holds the unique ids of adjacency,
-    labels and types), so a join of an endpoint with ``nodes`` neither
-    drops nor multiplies rows and is left out.
+    occurrence adds an equality (``e_1.src = e_0.src``), and each of its
+    conditions, wherever it is written, tests the binding endpoint's
+    columns.
     """
     e_alias: dict[str, str] = {}
     for p in bgp.patterns:

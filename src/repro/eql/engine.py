@@ -5,9 +5,10 @@
     Arrow collect of the columns the query needs (head ∪ CTP seed
     variables), projected in the SQL and de-duplicated on the driver. A
     BGP that binds none of them is only tested for emptiness. The SQL
-    broadcasts node-condition semi-joins and edge self-joins by hint, and
-    a query's BGPs are collected concurrently, one thread each. Spark runs
-    nothing after this;
+    reads one table, whose edge rows carry their endpoints' labels and
+    types, so a one-pattern BGP is one filtered scan; edge self-joins are
+    broadcast by hint. A query's BGPs are collected concurrently, one
+    thread each. Spark runs nothing after this;
 (B) for each CTP, each seed set holds the nodes that satisfy its
     predicate (``Pred.matches`` on the ``LocalGraph``) among those a BGP
     binds to the variable, or among all nodes if none does; a bare
@@ -80,8 +81,7 @@ class EQLEngine:
         self.graph = graph
         self.dfs = graph.to_spark(spark)
         # Needed before any evaluate: perfbench's eql_yago oracle runs to_sql's SQL.
-        for name, df in self.dfs.items():
-            df.createOrReplaceTempView(name)
+        self.dfs["edges"].createOrReplaceTempView("edges")
 
     # ---- step (B1): seed sets -------------------------------------------
     def _seed_set(self, pred: Pred, bound: list[pd.DataFrame]):
@@ -155,11 +155,11 @@ class EQLEngine:
         multi_queue: bool = False,
     ) -> EQLReport:
         report = EQLReport()
-        # Re-register this engine's views: several engines (one per graph)
+        # Re-register this engine's view: several engines (one per graph)
         # may coexist on the shared session, and the compiled SQL refers
-        # to the fixed names edges/nodes/types.
-        for name, df in self.dfs.items():
-            df.createOrReplaceTempView(name)
+        # to the fixed name edges. A query without BGPs reads no table.
+        if query.bgps:
+            self.dfs["edges"].createOrReplaceTempView("edges")
         # (A) BGP evaluation on Catalyst, all of a query's BGPs at once,
         # one pool worker each. Each target is wrapped on its own, so each
         # worker gets its own copy of this thread's job group, local

@@ -60,7 +60,7 @@ def run(
         for n_t, n_l in _sizes(full):
             b = gen.cdf(m, n_t=n_t, n_l=n_l, s_l=s_l, seed=17)
             eng = EQLEngine(spark, b.graph)
-            edges_df = eng.dfs["edges"].cache()
+            edges_df = eng.dfs["edges"].select("id", "src", "label", "dst").cache()
             edges_df.count()
 
             # Seed node sets for the baselines come from the same BGPs.

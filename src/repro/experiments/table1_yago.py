@@ -49,7 +49,7 @@ WHERE CTP(a{label="e0"}, n, *t) MAX 2 UNI LIMIT 500
 def run(spark, *, scale: float = 0.25, timeout_s: float = 60.0) -> pd.DataFrame:
     g = yago_lite(scale=scale, seed=11)
     eng = EQLEngine(spark, g)
-    edges_df = eng.dfs["edges"].cache()
+    edges_df = eng.dfs["edges"].select("id", "src", "label", "dst").cache()
     edges_df.count()
     defaults = CTPFilters(timeout_s=timeout_s)
     rows = []

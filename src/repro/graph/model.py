@@ -8,9 +8,11 @@ Fig. 2 "chain" graph whose 2^N results come from doubled edges).
 search engines of §4 traverse its adjacency index, as the paper's own
 evaluation loads the graph in memory before running CTP search (§5.1).
 :meth:`~LocalGraph.to_pandas` and :meth:`~LocalGraph.to_spark` write it
-out as three tables, ``edges(id, src, label, dst)``, ``nodes(id, label)``
-and ``types(id, type)`` (0..n types per node, the RDF-style type sets of
-§2): Spark runs the BGPs on them, and the DuckDB oracle reads them.
+out as one table, the paper's ``graph(id, source, edgeLabel, target)``
+with each endpoint's label and types on the edge row: ``edges(id, src,
+label, dst, src_label, dst_label, src_types, dst_types)``, where a type
+list holds the node's 0..n types (the RDF-style type sets of §2). Spark
+runs the BGPs on it, and the DuckDB oracle reads it.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 if TYPE_CHECKING:
     import pandas as pd
     from pyspark.sql import DataFrame, SparkSession
-
 
 @contextmanager
 def gc_paused() -> Iterator[None]:
@@ -146,38 +147,40 @@ class LocalGraph:
     def nodes_by_type(self, t: str) -> list[int]:
         return sorted(n for n in self.nodes if t in self.types(n))
 
-    # ---- relational tables -----------------------------------------------
+    # ---- relational table ------------------------------------------------
     def to_pandas(self) -> dict[str, pd.DataFrame]:
-        """The three relational tables as pandas frames (also what the
-        DuckDB oracle registers)."""
+        """The ``edges`` table as a pandas frame (also what the DuckDB
+        oracle registers). A node's types are sorted, and an untyped node
+        has ``[]``; the type lists are Arrow ``list<string>`` columns, so
+        Spark and DuckDB read that type even where every list is empty."""
         import pandas as pd
+        import pyarrow as pa
 
-        edges = pd.DataFrame(
-            list(self.edges.values()) or None,
-            columns=["id", "src", "label", "dst"],
-        )
-        nodes = pd.DataFrame(
-            [(n, self.label(n)) for n in sorted(self.nodes)] or None,
-            columns=["id", "label"],
-        )
-        types = pd.DataFrame(
-            [(n, t) for n in sorted(self.nodes) for t in sorted(self.types(n))]
-            or None,
-            columns=["id", "type"],
-        )
-        return {"edges": edges, "nodes": nodes, "types": types}
+        edges = list(self.edges.values())
+        src = [e.src for e in edges]
+        dst = [e.dst for e in edges]
+        types = {n: sorted(ts) for n, ts in self.node_types.items()}
+        no_types: list[str] = []
+        str_lists = pd.ArrowDtype(pa.list_(pa.string()))
+        return {"edges": pd.DataFrame({
+            "id": pd.Series([e.id for e in edges], dtype="int64"),
+            "src": pd.Series(src, dtype="int64"),
+            "label": pd.Series([e.label for e in edges], dtype=object),
+            "dst": pd.Series(dst, dtype="int64"),
+            "src_label": pd.Series([self.label(n) for n in src], dtype=object),
+            "dst_label": pd.Series([self.label(n) for n in dst], dtype=object),
+            "src_types": pd.Series(
+                [types.get(n, no_types) for n in src], dtype=str_lists),
+            "dst_types": pd.Series(
+                [types.get(n, no_types) for n in dst], dtype=str_lists),
+        })}
 
     def to_spark(self, spark: SparkSession) -> dict[str, DataFrame]:
-        pdfs = self.to_pandas()
-        schemas = {
-            "edges": "id long, src long, label string, dst long",
-            "nodes": "id long, label string",
-            "types": "id long, type string",
-        }
-        return {
-            name: spark.createDataFrame(pdf, schema=schemas[name])
-            for name, pdf in pdfs.items()
-        }
+        schema = (
+            "id long, src long, label string, dst long, src_label string, "
+            "dst_label string, src_types array<string>, dst_types array<string>"
+        )
+        return {"edges": spark.createDataFrame(self.to_pandas()["edges"], schema=schema)}
 
 
 @dataclass

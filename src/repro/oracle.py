@@ -10,6 +10,9 @@ collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``). Array cells compare as tuples, element by element, in
 order (Spark returns lists, DuckDB numpy arrays); map/struct cells cannot be compared.
+
+Every connection is opened by :func:`connect`, which defines what the BGP
+SQL of :mod:`repro.eql.bgp` needs beyond DuckDB's own functions.
 """
 import duckdb
 import numpy as np
@@ -28,8 +31,16 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def connect() -> duckdb.DuckDBPyConnection:
+    """An in-memory DuckDB connection with Spark's ``size`` of an array,
+    which DuckDB spells ``len``."""
     con = duckdb.connect()
+    con.execute("CREATE MACRO size(a) AS len(a)")
+    return con
+
+
+def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+    con = connect()
     try:
         for name, t in tables.items():
             con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)

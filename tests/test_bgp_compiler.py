@@ -8,6 +8,8 @@ the ``LocalGraph`` and checks ``Cond.matches``.
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.eql.bgp import to_sql
 from repro.experiments.cdf_eql import Q_M3
@@ -16,7 +18,7 @@ from repro.graph import generators as gen
 from repro.graph.model import Edge, LocalGraph
 from repro.graph.random_graphs import random_graph, yago_lite
 from repro.lang import parse
-from repro.lang.ast import Cond
+from repro.lang.ast import BGP, Cond, EdgePattern, Pred
 from repro.oracle import assert_equivalent
 
 from .helpers import bgp_embeddings
@@ -111,8 +113,8 @@ def test_self_loop_binds_once():
     *(q for q in (J1, J2, Q_M3)),
 ])
 def test_plan_reads_edges_only(text):
-    """With no label condition on a node, ``nodes`` is never read and each
-    edge variable is one ``edges`` alias."""
+    """Only ``edges`` is read, node conditions included, and each edge
+    variable is one ``edges`` alias."""
     for bgp in _bgps(text):
         sql = to_sql(bgp)
         edge_vars = {p.e.var for p in bgp.patterns}
@@ -133,14 +135,22 @@ def _executed_plan(spark, sql: str) -> str:
     return df._jdf.queryExecution().executedPlan().toString()
 
 
-def test_node_condition_plan_is_broadcast_semi_join(spark, graphs):
-    """Automatic broadcast joins are off, yet the hint inside ``EXISTS``
-    makes J1's type condition a broadcast semi-join."""
-    assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+def test_node_condition_plan_is_one_scan_in_one_job(spark, graphs):
+    """J1's first BGP tests its type condition on the edge row: it plans
+    with no join, as one ``LocalTableScan`` (Catalyst folds the filter into
+    the local table), and its Arrow collect is one Spark job."""
+    sc = spark.sparkContext
     _register(spark, graphs["yago"])
-    plan = _executed_plan(spark, to_sql(_bgps(J1)[0]))
-    assert re.search(r"BroadcastHashJoin .*LeftSemi", plan), plan
-    assert "SortMergeJoin" not in plan, plan
+    df = spark.sql(to_sql(_bgps(J1)[0]))
+    sc.setJobGroup("bgp-one-scan", "J1's first BGP")
+    try:
+        assert len(df.toPandas()) > 0
+    finally:
+        sc._jsc.clearJobGroup()
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    assert plan.startswith("LocalTableScan"), plan
+    assert "Join" not in plan, plan
+    assert len(sc.statusTracker().getJobIdsForGroup("bgp-one-scan")) == 1
 
 
 def test_edge_self_join_plan_is_broadcast(spark, graphs):
@@ -192,3 +202,82 @@ def test_like_agrees_with_cond_matches(spark, like_graph, pattern, ids):
     assert_equivalent(spark.sql(sql), sql, **g.to_pandas())
     got = {tuple(r) for r in spark.sql(sql).collect()}
     assert got == bgp_embeddings(g, bgp, ["x", "e", "y"])
+
+
+# ---- random node conditions ------------------------------------------------
+
+# Labels, types and condition values: LIKE metacharacters, a quote, a
+# backslash and the ESCAPE character, next to plain strings that order
+# between them.
+VALUES = ["a", "ab", "b", "a%b", "a_b", "it's", "c\\d", "x!y", "[a]"]
+TYPES = ["a_b", "it's", "c\\d", "b"]
+NODE_VARS = ["x", "y", "z"]
+
+
+@st.composite
+def _cond(draw, labels, types):
+    """A label or type condition on a value drawn from ``labels`` or
+    ``types``; a ``~`` pattern is the value with a slice of it, maybe
+    empty, replaced by ``*``, or the value itself."""
+    # Type conditions twice as often: they are the ones that read a list.
+    prop = draw(st.sampled_from(["label", "type", "type"]))
+    op = draw(st.sampled_from(["=", "<", "<=", "~"]))
+    v = draw(labels if prop == "label" else types)
+    if op == "~" and draw(st.booleans()):
+        i = draw(st.integers(0, len(v)))
+        v = v[:i] + "*" + v[draw(st.integers(i, len(v))):]
+    return Cond(prop, op, v)
+
+
+@st.composite
+def graph_and_bgp(draw):
+    """A graph of 1-3 nodes and 1-6 edges, self-loops allowed, whose nodes
+    may have no label and 0-3 types, or no types in the whole graph; and a
+    BGP of 1-2 patterns over three node variables, so a variable may sit
+    at both ends of a pattern or in both patterns. Each node of a pattern
+    has 0-1 conditions."""
+    n = draw(st.integers(1, 3))
+    node = st.integers(1, n)
+    ends = draw(st.lists(st.tuples(node, node), min_size=1, max_size=6))
+    labels = draw(st.lists(st.sampled_from([None, *VALUES]), min_size=n, max_size=n))
+    types = {}
+    if draw(st.integers(0, 3)):  # one graph in four has no types
+        types = dict(enumerate(draw(st.lists(
+            st.frozensets(st.sampled_from(TYPES), max_size=3), min_size=n, max_size=n,
+        )), start=1))
+    g = LocalGraph(
+        [Edge(i, s, "r", d) for i, (s, d) in enumerate(ends)],
+        {v: lbl for v, lbl in enumerate(labels, start=1) if lbl is not None},
+        types,
+    )
+    # Half of the label values are held by the graph, so that conditions
+    # often match.
+    held = st.sampled_from(sorted(g.label(v) for v in g.nodes))
+    cond = _cond(held | st.sampled_from(VALUES), st.sampled_from(TYPES))
+
+    def pred(var: str) -> Pred:
+        return Pred(var, tuple(draw(st.lists(cond, max_size=1))))
+
+    s, d = draw(st.sampled_from(NODE_VARS)), draw(st.sampled_from(NODE_VARS))
+    patterns = [EdgePattern(pred(s), Pred("e0"), pred(d))]
+    if draw(st.booleans()):
+        # A BGP is variable-connected: the second pattern shares a node.
+        shared, other = draw(st.sampled_from([s, d])), draw(st.sampled_from(NODE_VARS))
+        s2, d2 = (shared, other) if draw(st.booleans()) else (other, shared)
+        patterns.append(EdgePattern(pred(s2), Pred("e1"), pred(d2)))
+    return g, BGP(tuple(patterns))
+
+
+@given(graph_and_bgp())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_node_conditions_match_brute_force_and_duckdb(spark, gb):
+    """Label and type conditions, tested on the binding endpoint's columns,
+    give Spark the rows of ``bgp_embeddings``, and DuckDB the same rows."""
+    g, bgp = gb
+    project = bgp.variables()
+    sql = to_sql(bgp, project)
+    _register(spark, g)
+    got = {tuple(r) for r in spark.sql(sql).collect()}
+    assert got == bgp_embeddings(g, bgp, project), sql
+    assert_equivalent(spark.sql(sql), sql, **g.to_pandas())

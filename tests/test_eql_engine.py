@@ -12,8 +12,10 @@ from repro.core.filters import CTPFilters
 from repro.core.scoring import size_score
 from repro.eql import EQLEngine, filters_from_spec, to_sql
 from repro.eql.engine import SCORE_REGISTRY
+from repro.experiments import table1_yago
 from repro.experiments.cdf_eql import Q_M2, Q_M3
 from repro.graph import generators as gen
+from repro.graph.random_graphs import yago_lite
 from repro.lang import parse
 from repro.lang.ast import CTPFilterSpec
 from repro.oracle import assert_equivalent
@@ -228,6 +230,37 @@ def test_answer_is_one_partition_counted_in_one_job(fig1_engine, spark):
         sc._jsc.clearJobGroup()
     assert len(sc.statusTracker().getJobIdsForGroup("eql-count")) == 1
     assert n == len(result.toPandas()) > 0
+
+
+def _jobs_of_evaluate_and_count(spark, engine, text: str, group: str, **kwargs):
+    """The Spark jobs of one ``evaluate`` and the ``count()`` of its
+    answer, read from a job group that only they use."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, "evaluate and count")
+    try:
+        engine.evaluate(parse(text), **kwargs).result.count()
+    finally:
+        sc._jsc.clearJobGroup()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.mark.parametrize("name, kwargs, jobs", [
+    ("J1", {}, 4), ("J2", {"multi_queue": True}, 3), ("J3", {}, 1),
+])
+def test_table1_job_counts(spark, name, kwargs, jobs):
+    """Each BGP of Table 1, node conditions included, collects in one job
+    and the count adds one; J3 has no BGP, so its count is its only job."""
+    eng = EQLEngine(spark, yago_lite(scale=0.25, seed=11))
+    text = getattr(table1_yago, name)
+    assert _jobs_of_evaluate_and_count(
+        spark, eng, text, f"jobs-{name}", **kwargs) == jobs
+
+
+def test_cdf_m3_job_count(spark):
+    """CDF ``Q_M3``: one job per one-edge BGP, two for the two-edge BGP,
+    whose ``e_1`` is broadcast, and one for the count."""
+    eng = EQLEngine(spark, gen.cdf(3, n_t=3, n_l=5, s_l=3, seed=5).graph)
+    assert _jobs_of_evaluate_and_count(spark, eng, Q_M3, "jobs-cdf-m3") == 4
 
 
 @pytest.mark.parametrize("text", [Q1, 'SELECT x, w WHERE (x, e, y) AND CTP(x, "USA", *w)'],

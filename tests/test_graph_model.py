@@ -143,23 +143,47 @@ def test_nodes_by_label_and_type(tiny):
 
 
 def test_to_pandas_tables(tiny):
+    """One table, ``edges``, with each endpoint's label and sorted types
+    on the edge row; an untyped node has no types."""
     pdfs = tiny.to_pandas()
-    assert list(pdfs["edges"].columns) == ["id", "src", "label", "dst"]
-    assert len(pdfs["edges"]) == 3
-    assert len(pdfs["nodes"]) == 3
-    assert set(pdfs["types"]["type"]) == {"t1", "t2"}
+    assert list(pdfs) == ["edges"]
+    edges = pdfs["edges"]
+    assert list(edges.columns) == [
+        "id", "src", "label", "dst",
+        "src_label", "dst_label", "src_types", "dst_types",
+    ]
+    assert len(edges) == 3
+    row = edges.set_index("id").loc[0]
+    assert (row["src_label"], row["dst_label"]) == ("one", "two")
+    assert list(row["src_types"]) == ["t1", "t2"]
+    assert list(row["dst_types"]) == []
 
 
-def test_every_edge_endpoint_is_one_node_row():
-    """The BGP compiler binds node variables to edge endpoints and never
-    joins them with ``nodes``; that needs each endpoint in ``nodes`` once."""
+def test_edge_rows_carry_endpoint_labels_and_types():
+    """The BGP compiler tests a node's conditions on the edge row that
+    binds it, so every row holds ``label`` and the sorted ``types`` of both
+    endpoints, also of a self-loop and of an unlabeled or untyped node."""
     g = LocalGraph(
         [Edge(0, 1, "a", 2), Edge(1, 2, "b", 3), Edge(2, 3, "a", 3),
          Edge(3, 1, "a", 2)],
         node_labels={2: "two", 4: "isolated"},
-        node_types={3: {"t1", "t2"}, 5: {"t1"}},
+        node_types={3: {"t2", "t1"}, 5: {"t1"}},
     )
-    ids = g.to_pandas()["nodes"]["id"].tolist()
-    assert sorted(ids) == [1, 2, 3, 4, 5]
-    for e in g.edges.values():
-        assert ids.count(e.src) == ids.count(e.dst) == 1
+    rows = g.to_pandas()["edges"].to_dict("records")
+    assert [r["id"] for r in rows] == [0, 1, 2, 3]
+    for r in rows:
+        for end in ("src", "dst"):
+            n = r[end]
+            assert r[f"{end}_label"] == g.label(n)
+            assert list(r[f"{end}_types"]) == sorted(g.types(n))
+    assert rows[2]["src_types"] == rows[2]["dst_types"] == ["t1", "t2"]
+    assert rows[0]["src_label"] == "1" and rows[0]["src_types"] == []
+
+
+def test_untyped_graph_has_string_list_columns():
+    """With no types at all, the type columns are still lists of strings,
+    so DuckDB and Spark read one type whatever the values."""
+    edges = LocalGraph([Edge(0, 1, "a", 2)]).to_pandas()["edges"]
+    for col in ("src_types", "dst_types"):
+        assert str(edges[col].dtype) == "list<item: string>[pyarrow]"
+        assert edges[col].tolist() == [[]]
