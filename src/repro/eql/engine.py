@@ -2,13 +2,15 @@
 
 (A) each BGP compiles to SQL and is evaluated by Spark — the "existing
     conjunctive graph query engine". Its SQL runs exactly once, as one
-    Arrow collect of the columns the query needs (head ∪ CTP seed
+    row collect of the columns the query needs (head ∪ CTP seed
     variables), projected in the SQL and de-duplicated on the driver. A
     BGP that binds none of them is only tested for emptiness. The SQL
     reads one table, whose edge rows carry their endpoints' labels and
-    types, so a one-pattern BGP is one filtered scan; edge self-joins are
-    broadcast by hint. A query's BGPs are collected concurrently, one
-    thread each. Spark runs nothing after this;
+    types, so a one-pattern BGP is one filtered scan, which Catalyst
+    folds into a local table that the driver collects with no Spark job;
+    edge self-joins are broadcast by hint. A query's BGPs are collected
+    one after the other on the caller's thread. Spark runs nothing after
+    this;
 (B) for each CTP, each seed set holds the nodes that satisfy its
     predicate (``Pred.matches`` on the ``LocalGraph``) among those a BGP
     binds to the variable, or among all nodes if none does; a bare
@@ -22,11 +24,9 @@
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import pandas as pd
-from pyspark import inheritable_thread_target
 from pyspark.sql import DataFrame, SparkSession
 
 from .. import core
@@ -136,14 +136,16 @@ class EQLEngine:
     # ---- step (A): one BGP ----------------------------------------------
     def _bgp_frame(self, bgp: BGP, needed: set[str]) -> pd.DataFrame | bool:
         """The distinct embeddings of ``bgp`` on the ``needed`` variables it
-        binds, as one Arrow collect; for a BGP that binds none of them,
-        whether it has no embeddings."""
+        binds, as one row collect; for a BGP that binds none of them,
+        whether it has no embeddings. A one-pattern BGP plans as a local
+        table, whose rows the driver collects with no Spark job; no
+        workload or artefact collects a frame of over 2,048 rows."""
         keep = [v for v in bgp.variables() if v in needed]
         if not keep:
             return self.spark.sql(to_sql(bgp)).isEmpty()
-        df = self.spark.sql(to_sql(bgp, project=keep))
+        rows = self.spark.sql(to_sql(bgp, project=keep)).collect()
         # int64 even when empty, so it merges with the CTP tables.
-        return df.toPandas().drop_duplicates().astype("int64")
+        return pd.DataFrame(rows, columns=keep).drop_duplicates().astype("int64")
 
     # ---- full evaluation -------------------------------------------------
     def evaluate(
@@ -160,10 +162,7 @@ class EQLEngine:
         # to the fixed name edges. A query without BGPs reads no table.
         if query.bgps:
             self.dfs["edges"].createOrReplaceTempView("edges")
-        # (A) BGP evaluation on Catalyst, all of a query's BGPs at once,
-        # one pool worker each. Each target is wrapped on its own, so each
-        # worker gets its own copy of this thread's job group, local
-        # properties and tags; the futures are read in BGP order. Def.
+        # (A) BGP evaluation on Catalyst, one BGP after the other. Def.
         # 2.10 is set-based, so each BGP is projected onto the variables
         # that can influence the output (head ∪ CTP seed variables) and
         # de-duplicated: unused BGP variables would only multiply the join.
@@ -171,13 +170,7 @@ class EQLEngine:
         needed = set(query.head)
         for c in query.ctps:
             needed.update(p.var for p in c.preds)
-        with ThreadPoolExecutor(max(1, len(query.bgps))) as pool:
-            futures = [
-                pool.submit(inheritable_thread_target(self.spark)(self._bgp_frame),
-                            b, needed)
-                for b in query.bgps
-            ]
-            outs = [f.result() for f in futures]
+        outs = [self._bgp_frame(b, needed) for b in query.bgps]
         bound = [o for o in outs if isinstance(o, pd.DataFrame)]
         # A fully-projected-away BGP still acts as a boolean guard: no
         # embeddings => empty result.

@@ -4,20 +4,13 @@ A predicate (Def. 2.2) is a conjunction of conditions ``p(v) op c`` over a
 single variable, where ``p`` is a property (here: ``label`` for nodes and
 edges, ``type`` for nodes) and ``op`` in {=, <, <=, ~} (``~`` is SQL LIKE
 with ``*`` wildcards). The Def. 2.2 shorthand — a bare constant meaning
-``label(v) = c`` — is supported via :func:`const`.
+``label(v) = c`` — is supported via :func:`const`; the parser gives each
+constant a fresh variable that its query does not use.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-
-_autovar = itertools.count()
-
-
-def _fresh() -> str:
-    return f"_v{next(_autovar)}"
-
 
 def _like_regex(pattern: str) -> str:
     """A ``~`` pattern as a regex: ``*`` matches any string, every other
@@ -73,9 +66,9 @@ def var(name: str) -> Pred:
     return Pred(name)
 
 
-def const(label: str, v: str | None = None) -> Pred:
+def const(label: str, v: str) -> Pred:
     """The Def. 2.2 shorthand: a constant denotes label(v) = constant."""
-    return Pred(v or _fresh(), (Cond("label", "=", label),))
+    return Pred(v, (Cond("label", "=", label),))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,14 @@ Grammar (whitespace/newline insensitive)::
 
 The underlined CTP tree variable is written ``*w``. Consecutive edge
 patterns that share variables are grouped into maximal connected BGPs
-(Def. 2.4), mirroring how the paper draws query bodies.
+(Def. 2.4), mirroring how the paper draws query bodies. Each constant
+binds a fresh variable ``_v0``, ``_v1``, ..., numbered per query and
+skipping every name the query uses, so parsing a text twice gives equal
+queries.
 """
 from __future__ import annotations
 
+import itertools
 import re
 
 from .ast import (
@@ -55,6 +59,8 @@ class _Tokens:
             if kind != "ws":
                 self.toks.append((kind, m.group()))
         self.i = 0
+        names = {v for k, v in self.toks if k == "name"}
+        self.fresh = (f"_v{i}" for i in itertools.count() if f"_v{i}" not in names)
 
     def peek(self) -> tuple[str, str] | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -103,7 +109,7 @@ def _cond(ts: _Tokens) -> Cond:
 def _parse_pred(ts: _Tokens) -> Pred:
     kind, v = ts.next()
     if kind == "str":
-        return const(v[1:-1])
+        return const(v[1:-1], next(ts.fresh))
     if kind != "name":
         raise ParseError(f"expected predicate, got {v!r}")
     t = ts.peek()

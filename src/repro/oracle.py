@@ -6,10 +6,12 @@ Spark result). This catches wrong results from a rewritten plan or a
 custom operator — "it ran" is not "it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``). Array cells compare as tuples, element by element, in
-order (Spark returns lists, DuckDB numpy arrays); map/struct cells cannot be compared.
+collected via ``.toArrow()``, so an ``array<…>`` column reaches DuckDB
+typed as a list, not typed from a sample of its rows. Alias every
+output column identically on both sides (Spark names ``count(*)`` as
+``count(1)``, DuckDB as ``count_star()``). Array cells compare as tuples,
+element by element, in order (Spark returns lists, DuckDB numpy arrays);
+map/struct cells cannot be compared.
 
 Every connection is opened by :func:`connect`, which defines what the BGP
 SQL of :mod:`repro.eql.bgp` needs beyond DuckDB's own functions.
@@ -43,7 +45,7 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     con = connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, t.toArrow() if isinstance(t, DataFrame) else t)
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()

@@ -23,6 +23,14 @@ def edge_sets(results) -> set[frozenset[int]]:
     return {r.edges for r in results}
 
 
+def group_job_count(sc, group: str) -> int:
+    """The number of Spark jobs in job group ``group``. The status tracker
+    learns of a job from the listener bus, which may lag behind the job,
+    so the bus is drained first."""
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 def singleton_sets(*nodes: int) -> list[list[int]]:
     return [[n] for n in nodes]
 

@@ -21,7 +21,7 @@ from repro.lang import parse
 from repro.lang.ast import BGP, Cond, EdgePattern, Pred
 from repro.oracle import assert_equivalent
 
-from .helpers import bgp_embeddings
+from .helpers import bgp_embeddings, group_job_count
 
 
 def _random_with_loops() -> LocalGraph:
@@ -138,19 +138,19 @@ def _executed_plan(spark, sql: str) -> str:
 def test_node_condition_plan_is_one_scan_in_one_job(spark, graphs):
     """J1's first BGP tests its type condition on the edge row: it plans
     with no join, as one ``LocalTableScan`` (Catalyst folds the filter into
-    the local table), and its Arrow collect is one Spark job."""
+    the local table), and the driver collects its rows with no Spark job."""
     sc = spark.sparkContext
     _register(spark, graphs["yago"])
     df = spark.sql(to_sql(_bgps(J1)[0]))
     sc.setJobGroup("bgp-one-scan", "J1's first BGP")
     try:
-        assert len(df.toPandas()) > 0
+        assert len(df.collect()) > 0
     finally:
         sc._jsc.clearJobGroup()
     plan = df._jdf.queryExecution().executedPlan().toString()
     assert plan.startswith("LocalTableScan"), plan
     assert "Join" not in plan, plan
-    assert len(sc.statusTracker().getJobIdsForGroup("bgp-one-scan")) == 1
+    assert group_job_count(sc, "bgp-one-scan") == 0
 
 
 def test_edge_self_join_plan_is_broadcast(spark, graphs):

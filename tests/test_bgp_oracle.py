@@ -147,3 +147,20 @@ def test_oracle_catches_wrong_array(spark, arr):
     )
     with pytest.raises(AssertionError):
         assert_equivalent(got, ARRAYS_DUCKDB)
+
+
+def test_oracle_types_spark_array_inputs_from_the_schema(spark):
+    """A Spark input keeps its ``array<string>`` type in DuckDB although
+    only its last row holds a non-empty array. DuckDB types a column of
+    Python lists from a sample of 1,000 rows, which here holds only empty
+    arrays, so a pandas copy would not type as a list of strings."""
+    n = 3000
+    ts = spark.sql(
+        f"SELECT id, IF(id = {n - 1}, array('x'), CAST(array() AS array<string>)) AS ts "
+        f"FROM range({n})"
+    )
+    q = "SELECT id FROM ts WHERE array_contains(ts, 'x')"
+    ts.createOrReplaceTempView("ts")
+    got = spark.sql(q)
+    assert [r.id for r in got.collect()] == [n - 1]
+    assert_equivalent(got, q, ts=ts)

@@ -1,10 +1,8 @@
 """End-to-end EQL evaluation tests (§3 strategy) on the Figure 1 graph
 and CDF benchmark graphs."""
 import itertools
-import threading
 from dataclasses import fields
 
-import duckdb
 import pytest
 
 from repro.core import ALL_NODES
@@ -18,7 +16,9 @@ from repro.graph import generators as gen
 from repro.graph.random_graphs import yago_lite
 from repro.lang import parse
 from repro.lang.ast import CTPFilterSpec
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_equivalent, connect
+
+from .helpers import group_job_count
 
 Q1 = '''
 SELECT x, y, z, w
@@ -228,7 +228,7 @@ def test_answer_is_one_partition_counted_in_one_job(fig1_engine, spark):
         n = result.count()
     finally:
         sc._jsc.clearJobGroup()
-    assert len(sc.statusTracker().getJobIdsForGroup("eql-count")) == 1
+    assert group_job_count(sc, "eql-count") == 1
     assert n == len(result.toPandas()) > 0
 
 
@@ -241,15 +241,16 @@ def _jobs_of_evaluate_and_count(spark, engine, text: str, group: str, **kwargs):
         engine.evaluate(parse(text), **kwargs).result.count()
     finally:
         sc._jsc.clearJobGroup()
-    return len(sc.statusTracker().getJobIdsForGroup(group))
+    return group_job_count(sc, group)
 
 
 @pytest.mark.parametrize("name, kwargs, jobs", [
-    ("J1", {}, 4), ("J2", {"multi_queue": True}, 3), ("J3", {}, 1),
+    ("J1", {}, 1), ("J2", {"multi_queue": True}, 1), ("J3", {}, 1),
 ])
 def test_table1_job_counts(spark, name, kwargs, jobs):
-    """Each BGP of Table 1, node conditions included, collects in one job
-    and the count adds one; J3 has no BGP, so its count is its only job."""
+    """Each BGP of Table 1, node conditions included, is one pattern, so
+    its rows are collected from a local table with no job: the count of
+    the answer is the only job."""
     eng = EQLEngine(spark, yago_lite(scale=0.25, seed=11))
     text = getattr(table1_yago, name)
     assert _jobs_of_evaluate_and_count(
@@ -257,10 +258,10 @@ def test_table1_job_counts(spark, name, kwargs, jobs):
 
 
 def test_cdf_m3_job_count(spark):
-    """CDF ``Q_M3``: one job per one-edge BGP, two for the two-edge BGP,
-    whose ``e_1`` is broadcast, and one for the count."""
+    """CDF ``Q_M3``: no job for the one-edge BGPs, two for the two-edge
+    BGP, whose ``e_1`` is broadcast, and one for the count."""
     eng = EQLEngine(spark, gen.cdf(3, n_t=3, n_l=5, s_l=3, seed=5).graph)
-    assert _jobs_of_evaluate_and_count(spark, eng, Q_M3, "jobs-cdf-m3") == 4
+    assert _jobs_of_evaluate_and_count(spark, eng, Q_M3, "jobs-cdf-m3") == 3
 
 
 @pytest.mark.parametrize("text", [Q1, 'SELECT x, w WHERE (x, e, y) AND CTP(x, "USA", *w)'],
@@ -288,24 +289,9 @@ AND CTP(x, y, *w)
 '''
 
 
-def test_bgp_jobs_run_in_the_callers_job_group(fig1_engine, spark):
-    """The pool workers of step (A) inherit the caller's job group: the
-    group holds at least one job per BGP."""
-    sc = spark.sparkContext
-    query = parse(Q1)
-    assert len(query.bgps) == 3
-    sc.setJobGroup("eql-step-a", "step (A) job group test")
-    try:
-        fig1_engine.evaluate(query)
-    finally:
-        sc._jsc.clearJobGroup()
-    jobs = sc.statusTracker().getJobIdsForGroup("eql-step-a")
-    assert len(jobs) >= len(query.bgps)
-
-
 def test_empty_guard_among_bound_bgps(fig1_engine):
-    """Collected concurrently, an empty guard BGP still empties the answer
-    of a query whose other BGPs bind rows, and the schema stays."""
+    """An empty guard BGP still empties the answer of a query whose other
+    BGPs bind rows, and the schema stays."""
     query = parse(_guarded("noSuchLabel"))
     assert len(query.bgps) == 3
     empty = fig1_engine.evaluate(query).result
@@ -314,13 +300,6 @@ def test_empty_guard_among_bound_bgps(fig1_engine):
     assert empty.dtypes == full.dtypes == [
         ("x", "bigint"), ("y", "bigint"), ("w", "array<bigint>"),
     ]
-
-
-def test_evaluate_leaves_no_threads(fig1_engine):
-    """The step-(A) pool is shut down inside ``evaluate``."""
-    before = threading.active_count()
-    fig1_engine.evaluate(parse(Q1))
-    assert threading.active_count() == before
 
 
 def test_filters_from_spec_merges_defaults():
@@ -399,7 +378,7 @@ def _assert_join_matches_duckdb(graph, query, rep):
     """Step (C) against DuckDB: the full BGP tables (each ``to_sql(bgp)``
     run by DuckDB, no pre-projection) natural-joined with the engine's CTP
     tables, then projected on the head with set semantics."""
-    con = duckdb.connect()
+    con = connect()
     try:
         for name, pdf in graph.to_pandas().items():
             con.register(name, pdf)
@@ -446,9 +425,14 @@ AND CTP(z, "Eve", *w2) MAX 2
 '''
 
 
+# A ~ type condition compiles to SQL that reads size(src_types), which
+# DuckDB has only through repro.oracle.connect().
+TYPE_LIKE = 'SELECT x, y, w WHERE (x{type~"entre*"}, e, y) AND CTP(x, "USA", *w) MAX 3'
+
+
 @pytest.mark.parametrize(
-    "text", [Q1, TWO_CTPS, SEED_NOT_IN_HEAD, CTPS_LINKED_BY_BGP],
-    ids=["q1", "two_ctps", "seed_not_in_head", "ctps_linked_by_bgp"],
+    "text", [Q1, TWO_CTPS, SEED_NOT_IN_HEAD, CTPS_LINKED_BY_BGP, TYPE_LIKE],
+    ids=["q1", "two_ctps", "seed_not_in_head", "ctps_linked_by_bgp", "type_like"],
 )
 def test_fig1_join_matches_duckdb(fig1_engine, text):
     q = parse(text)

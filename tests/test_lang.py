@@ -8,8 +8,8 @@ from repro.lang.ast import const, var
 # ---- AST construction ----------------------------------------------------
 
 def test_pred_shorthand_const():
-    p = const("Alice")
-    assert p.conds == (Cond("label", "=", "Alice"),)
+    p = const("Alice", "a")
+    assert p == Pred("a", (Cond("label", "=", "Alice"),))
 
 
 def test_cond_matches_label_eq():
@@ -149,6 +149,23 @@ def test_parse_constants_get_fresh_vars():
     p1, p2 = q.ctps[0].preds
     assert p1.var != p2.var
     assert p1.conds[0].value == "A"
+
+
+def test_parse_is_deterministic():
+    """Constants are numbered per query, so a text parses to equal queries."""
+    text = 'SELECT w WHERE ("A", e, x) AND CTP(x, "B", *w)'
+    assert parse(text) == parse(text)
+
+
+def test_parse_constant_never_captures_a_query_variable():
+    """A constant's fresh variable skips every name the query uses: a
+    query that names the variable after the last one a constant got keeps
+    it for itself, and its pattern is not a self-loop."""
+    last = parse('SELECT w WHERE CTP("A", "B", *w)').ctps[0].preds[1].var
+    v = f"_v{int(last[2:]) + 1}"
+    (p,) = parse(f'SELECT {v} WHERE ("A", e, {v})').bgps[0].patterns
+    assert p.d == Pred(v)
+    assert p.s.var != v and p.s.conds == (Cond("label", "=", "A"),)
 
 
 def test_parse_errors():
