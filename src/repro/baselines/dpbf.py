@@ -28,8 +28,6 @@ def dpbf(
     seed_sets: list[list[int]],
     *,
     uni: bool = False,
-    labels: frozenset[str] | None = None,
-    max_cost: int | None = None,
 ) -> tuple[ResultTree | None, DPBFStats]:
     """Returns (one min-edge connecting tree or None, search stats).
 
@@ -59,8 +57,6 @@ def dpbf(
     def push(node: int, mask: int, cost: int, edges: frozenset[int]) -> None:
         nonlocal seq
         key = (node, mask)
-        if max_cost is not None and cost > max_cost:
-            return
         if key in best and best[key] <= cost:
             return
         best[key] = cost
@@ -98,8 +94,6 @@ def dpbf(
             )
         # Grow: extend the root along an adjacent edge.
         for a in g.adj_of(node):
-            if labels is not None and a.label not in labels:
-                continue
             if uni and a.outgoing:
                 continue
             if a.eid in edges:

@@ -42,11 +42,13 @@ exemption needs the edges to be new at their root.
 
 Merge: a new tree is merged with the trees registered at its root, which
 one per-root record holds with their edge sets and their distinct
-``sat`` values. A walk over them is skipped when every ``sat`` registered
-at the root overlaps the seed sets the new tree holds outside the root,
-since Merge2 then rejects every peer, as at a hub that is not a seed. The
-skipped pairs still count in ``merges_tried``, which therefore counts
-pairs Merge considered, whether walked or rejected in bulk.
+``sat`` values. :meth:`RootedSearch._merge_peers` picks the peers a walk
+visits: none when every ``sat`` registered at the root overlaps the seed
+sets the new tree holds outside the root, since Merge2 then rejects every
+peer, as at a hub that is not a seed. The skipped pairs still count in
+``merges_tried``, which therefore counts pairs Merge considered, whether
+walked or rejected in bulk. The reference walk of
+``tests/test_merge_skip.py`` overrides that method alone.
 
 Seed bindings: Grow2 and Merge2 bind each concrete set at one node of a
 tree, so trees keep only ``sat`` and a result's pairs are formed on report.
@@ -67,7 +69,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import islice
 from random import Random
@@ -447,6 +449,16 @@ class RootedSearch(CTPSearch):
         )
 
     # ---- integrate a Grow/INIT result: MergeAll + Mo injection ----------
+    def _merge_peers(self, rec: tuple, blocked: int) -> Sequence[RTree]:
+        """The trees of the per-root record ``rec`` that a Merge walk visits:
+        all of them, or none when every ``sat`` registered there overlaps
+        ``blocked``, as at a hub that is not a seed: Merge2 then rejects
+        every peer."""
+        for s in rec[2]:
+            if not blocked & s:
+                return rec[0]
+        return ()
+
     def _integrate(self, t: RTree, gained: bool) -> None:
         stats = self.stats
         stats.built += 1
@@ -467,26 +479,23 @@ class RootedSearch(CTPSearch):
             while work:
                 cur = work.popleft()
                 root = cur.root
-                peers, _, sats = rooted[root]
-                if len(peers) == 1:
+                rec = rooted[root]
+                if len(rec[0]) == 1:
                     continue  # cur alone: a walk would try nothing
                 # Merge2, read per DESIGN.md §6: sat overlap only through
                 # the shared root (required by the §4.5 MoESP walk-through).
                 # Tested first: it is a mask test and rejects most attempts.
                 blocked = cur.sat & ~node_sets.get(root, 0)
-                # If every tree at the root fails Merge2 with cur, as at a
-                # hub that is not a seed, the walk is skipped. Its pairs
-                # (peers holds cur itself) still count as tried, and the
-                # budget check the first peer would run still runs, so
-                # the stop lands where a walk would put it.
-                for s in sats:
-                    if not blocked & s:
-                        break
-                else:
+                peers = self._merge_peers(rec, blocked)
+                if not peers:
+                    # A skipped walk's pairs (rec[0] holds cur itself) still
+                    # count as tried, and the budget check the first peer
+                    # would run still runs: the stop lands where a walk
+                    # would put it.
                     if stats.built != checked:
                         self._check_budget()
                         checked = stats.built
-                    tried += len(peers) - 1
+                    tried += len(rec[0]) - 1
                     continue
                 # Merge1: the trees share only the root, which both hold.
                 others = cur.nodes - {root}

@@ -75,18 +75,6 @@ def test_dpbf_uni():
     assert rt is not None and rt.size == 2
 
 
-def test_dpbf_labels():
-    g = LocalGraph([Edge(0, 1, "a", 2), Edge(1, 1, "b", 2)])
-    rt, _ = dpbf(g, [[1], [2]], labels=frozenset({"b"}))
-    assert rt is not None and rt.edges == frozenset({1})
-
-
-def test_dpbf_max_cost():
-    b = gen.line(3, 2)
-    rt, _ = dpbf(b.graph, b.seed_sets, max_cost=3)
-    assert rt is None  # optimum needs 6 edges
-
-
 def test_dpbf_stats_populated():
     b = gen.star(4, 2)
     rt, st = dpbf(b.graph, b.seed_sets)

@@ -8,14 +8,12 @@ results, ``stop`` and every ``SearchStats`` counter, under every preset
 and filter, with one queue and with §4.9 multi-queue, on random small
 graphs and on a hub-shaped graph where the skip fires.
 """
-from collections import deque
 from dataclasses import replace
-from itertools import islice
 
 import pytest
 
 from repro.core.api import PRESETS
-from repro.core.engine import ALL_NODES, RootedSearch, RTree
+from repro.core.engine import ALL_NODES, RootedSearch
 from repro.core.filters import CTPFilters
 from repro.graph.model import LocalGraph
 from repro.graph.random_graphs import random_graph
@@ -24,7 +22,8 @@ from tests.helpers import hub_graph
 
 
 class _LinearWalk(RootedSearch):
-    """The rooted search with the Merge loop that walks every peer.
+    """The rooted search that walks every peer: it overrides only the
+    engine's choice of the peers to walk.
 
     ``skippable`` holds ``stats.built`` at each walk that the skip
     removes (every peer fails Merge2), so a test can check that its graph
@@ -34,56 +33,11 @@ class _LinearWalk(RootedSearch):
         super().__init__(*args)
         self.skippable: list[int] = []
 
-    def _integrate(self, t: RTree, gained: bool) -> None:
-        stats = self.stats
-        stats.built += 1
-        self._check_budget()
-        if not self._is_new(t):
-            stats.pruned += 1
-            return
-        if self._register(t):
-            return
-        checked = stats.built
-        work = deque([t, *self._mo_copies(t, gained)])
-        node_sets, max_edges = self.node_sets, self.f.max_edges
-        tried = 0
-        try:
-            while work:
-                cur = work.popleft()
-                root = cur.root
-                blocked = cur.sat & ~node_sets.get(root, 0)
-                others = cur.nodes - {root}
-                peers = self.rooted[root][0]
-                if len(peers) > 1 and all(blocked & p.sat for p in peers):
-                    self.skippable.append(stats.built)
-                for p in islice(peers, len(peers)):
-                    if p is cur:
-                        continue
-                    if stats.built != checked:
-                        self._check_budget()
-                        checked = stats.built
-                    tried += 1
-                    if (blocked & p.sat or not others.isdisjoint(p.nodes)
-                            or max_edges is not None
-                            and cur.size + p.size > max_edges):
-                        continue
-                    stats.merges_done += 1
-                    stats.built += 1
-                    merged = RTree(
-                        cur.edges | p.edges,
-                        cur.nodes | p.nodes,
-                        root,
-                        cur.sat | p.sat,
-                        False,
-                        cur.no_grow or p.no_grow,
-                    )
-                    if not self._is_new(merged):
-                        stats.pruned += 1
-                    elif not self._register(merged):
-                        work.append(merged)
-                        work.extend(self._mo_copies(merged, True))
-        finally:
-            stats.merges_tried += tried
+    def _merge_peers(self, rec, blocked):
+        peers = rec[0]
+        if all(blocked & p.sat for p in peers):
+            self.skippable.append(self.stats.built)
+        return peers
 
 
 def _small_graph(seed: int) -> tuple[LocalGraph, list[list[int]]]:
@@ -163,6 +117,22 @@ def test_budget_stops_where_the_walk_stops(uni):
             expected, got, _ = _pair(g, ss, "MoLESP", filters)
             assert expected.stop == "budget"
             _same(expected, got)
+
+
+@pytest.mark.parametrize("graph", ["hub0", "hub1"])
+@pytest.mark.parametrize("uni,stride", [(True, 1), (False, 75)],
+                         ids=["uni", "bidirectional"])
+def test_budget_stops_at_every_cut(graph, uni, stride):
+    """``max_built`` cuts MoLESP at every ``built`` count of a UNI run
+    (90-105 trees), and every ``stride`` trees of a bidirectional one
+    (2.5-2.7k trees): each cut stops as the linear walk does."""
+    g, ss = GRAPHS[graph]()
+    full = _pair(g, ss, "MoLESP", CTPFilters(uni=uni))[0].stats.built
+    for budget in range(1, full + 1, stride):
+        filters = CTPFilters(uni=uni, max_built=budget)
+        expected, got, _ = _pair(g, ss, "MoLESP", filters)
+        assert expected.stop == "budget"
+        _same(expected, got)
 
 
 def test_n_set_matches_linear_walk():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.baselines.dpbf import dpbf
 from repro.core import bft, esp, gam, lesp, moesp, molesp
 from repro.core.bruteforce import enumerate_results
+from repro.core.filters import CTPFilters
+from repro.core.scoring import size_score
 from repro.graph.random_graphs import random_graph
 
 from tests.helpers import keys
@@ -129,3 +131,32 @@ def test_variant_inclusion_chain(gs, order):
     mol = keys(molesp(g, ss, rng_seed=order))
     assert e <= mo <= mol
     assert le <= mol
+
+
+@given(graph_and_seed_sets(max_m=3), st.sampled_from([gam, molesp]),
+       st.booleans(), st.integers(0, 4), st.data())
+@settings(_settings, max_examples=100)
+def test_cutting_filters_cut_the_exhaustive_run(gs, algo, multi_queue, k, data):
+    """LIMIT k, TOP k and a ``max_built`` cut each give a part of the
+    exhaustive run of the same search: LIMIT any min(k, |full|) of its
+    results, TOP the first k under ``CTPSearch.run``'s tie rule (score,
+    then size, then sorted edges), and the cut a subset."""
+    g, ss = gs
+    full = algo(g, ss, multi_queue=multi_queue)
+    full_keys = keys(full)
+
+    cut = algo(g, ss, CTPFilters(limit=k), multi_queue=multi_queue)
+    assert keys(cut) <= full_keys
+    assert len(cut.results) == min(k, len(full.results))
+    assert (cut.stop == "limit") == (len(full.results) >= k)
+
+    top = algo(g, ss, CTPFilters(score=size_score, top_k=k),
+               multi_queue=multi_queue)
+    best = sorted(full.results, key=lambda r: (
+        -size_score(r, g), r.size, sorted(r.edges)))[:k]
+    assert [r.key() for r in top.results] == [r.key() for r in best]
+
+    budget = data.draw(st.integers(0, full.stats.built // 2), label="max_built")
+    cut = algo(g, ss, CTPFilters(max_built=budget), multi_queue=multi_queue)
+    assert cut.stop == "budget"
+    assert keys(cut) <= full_keys
