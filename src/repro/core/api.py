@@ -29,9 +29,9 @@ def _run(search: type[CTPSearch], *args) -> SearchOutcome:
 
 def _bft(name: str, merge: str, doc: str):
     def run(g: LocalGraph, seed_sets: list, filters: CTPFilters = CTPFilters(), *,
-            rng_seed=None, multi_queue=False) -> SearchOutcome:
-        if rng_seed is not None or multi_queue:
-            raise ValueError(f"{name} takes no rng_seed and no multi_queue")
+            multi_queue=False) -> SearchOutcome:
+        if multi_queue:
+            raise ValueError(f"{name} takes no multi_queue")
         return _run(BFTSearch, g, seed_sets, merge, filters)
 
     run.__name__ = run.__qualname__ = name.lower().replace("-", "_")
@@ -58,8 +58,8 @@ def _rooted(name: str, doc: str):
     preset = PRESETS[name]
 
     def run(g: LocalGraph, seed_sets: list, filters: CTPFilters = CTPFilters(), *,
-            rng_seed=None, multi_queue=False) -> SearchOutcome:
-        cfg = replace(preset, rng_seed=rng_seed, multi_queue=multi_queue)
+            multi_queue=False) -> SearchOutcome:
+        cfg = replace(preset, multi_queue=multi_queue)
         return _run(RootedSearch, g, seed_sets, cfg, filters)
 
     run.__name__ = run.__qualname__ = name.lower()

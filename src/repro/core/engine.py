@@ -22,23 +22,21 @@ Implements Algorithms 1-5 of §4 with the variant switches factored into
 :data:`ALL_NODES` sentinel: no INIT trees are created for them, any node
 matches them, and every tree satisfying all concrete sets is a result.
 
-Exploration order: smallest-tree-first priority (the paper's §5.4 setting)
-with FIFO tie-breaks by default. ``rng_seed`` replaces it with a seeded
-arbitrary order, which the tests use to exercise "bad" execution orders
-for the incompleteness counter-examples (the paper's completeness claims
-are order-independent, and are tested as such).
+Exploration order: smallest tree first, ties in FIFO order (the paper's
+§5.4 setting). The paper's completeness claims hold under any order, and
+the tests check them under seeded arbitrary orders by overriding
+:meth:`RootedSearch._push_grows` alone (``tests/helpers.RandomOrder``).
 
 Grow queue: a Grow candidate is a (tree, edge) pair, and a heap entry
-holds a tree and an iterator over candidates. In the default order a
-tree takes one entry, whose iterator is made when the entry first pops
-and applies Grow1 and Grow2 to the root's cached adjacency as it is
-drawn, in adjacency order: a LIMIT search that stops early makes no
-iterator for a tree it does not grow. The candidates are listed up front
-only where the order needs them: under ``rng_seed`` each draws its own
-key and takes its own entry, and the multi-queue rule counts pending
-candidates. No tree is queued twice: GAM's ``rooted_hist`` admits each
-(edges, root) pair once, ESP's ``hist`` each edge set once, and a LESP
-exemption needs the edges to be new at their root.
+holds a tree and an iterator over its candidates. A tree takes one
+entry, whose iterator is made when the entry first pops and applies
+Grow1 and Grow2 to the root's cached adjacency as it is drawn, in
+adjacency order: a LIMIT search that stops early makes no iterator for a
+tree it does not grow. Only the multi-queue rule lists the candidates up
+front, as it counts those pending. No tree is queued twice: GAM's
+``rooted_hist`` admits each (edges, root) pair once, ESP's ``hist`` each
+edge set once, and a LESP exemption needs the edges to be new at their
+root.
 
 Merge: a new tree is merged with the trees registered at its root, which
 one per-root record holds with their edge sets and their distinct
@@ -72,7 +70,6 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import islice
-from random import Random
 
 from ..graph.model import Adj, LocalGraph
 from .filters import CTPFilters
@@ -93,10 +90,6 @@ class SearchConfig:
     mo: bool = False
     lesp: bool = False
     multi_queue: bool = False
-    # None: smallest tree first, FIFO ties (the paper's §5.4 setting).
-    # An int: a seeded arbitrary order, which tests use to probe
-    # order-dependent incompleteness that smallest-first can mask.
-    rng_seed: int | None = None
 
 
 @dataclass
@@ -253,7 +246,6 @@ class RootedSearch(CTPSearch):
         self.pending: dict[int, int] = {}     # multi-queue: sat -> candidates left
         self.adj_cache: dict[int, tuple[Adj, ...]] = {}      # see _grow_adj
         self._seq = 0
-        self._rng = None if config.rng_seed is None else Random(config.rng_seed)
 
     # ---- small helpers ---------------------------------------------------
     def _grow_adj(self, n: int) -> tuple[Adj, ...]:
@@ -371,36 +363,28 @@ class RootedSearch(CTPSearch):
     def _push_grows(self, t: RTree) -> None:
         """Queue the Grow candidates of ``t``.
 
-        An entry is ``[prio, tie, seq, tree, candidates]``, the candidates
-        an iterator in adjacency order. The unique ``seq`` keeps heap
-        comparisons away from the tree. In the default order the priority
-        is the new tree's size, the tie is ``seq`` itself, and the iterator
-        is None until :meth:`_pop` first reaches the entry: a tree's
-        candidates would get consecutive keys, so they pop as one block
-        either way, and a tree with none pops once and is dropped. Under
-        ``rng_seed`` the priority and the tie are random draws, one entry
-        per candidate.
+        An entry is ``[prio, seq, tree, candidates]``: the priority is the
+        new tree's size, and the unique ``seq`` breaks ties in FIFO order
+        and keeps heap comparisons away from the tree. The candidates are
+        an iterator in adjacency order, None until :meth:`_pop` first
+        reaches the entry: a tree's candidates would get consecutive keys,
+        so they pop as one block either way, and a tree with none pops
+        once and is dropped. The multi-queue rule lists them here, to
+        count them.
         """
         if self.f.max_edges is not None and t.size >= self.f.max_edges:
             return  # MAX
-        multi = self.cfg.multi_queue
-        if multi or self._rng is not None:
+        qkey, cands = 0, None
+        if self.cfg.multi_queue:
             cands = list(self._candidates(t))
             if not cands:
                 return
-        qkey = t.sat if multi else 0
-        heap = self.queues.setdefault(qkey, [])
-        if multi:
+            qkey = t.sat
             self.pending[qkey] = self.pending.get(qkey, 0) + len(cands)
-        if self._rng is None:
-            self._seq += 1
-            heapq.heappush(heap, [t.size + 1, self._seq, self._seq, t,
-                                  iter(cands) if multi else None])
-            return
-        rand = self._rng.random
-        for a in cands:
-            self._seq += 1
-            heapq.heappush(heap, [rand(), rand(), self._seq, t, iter((a,))])
+            cands = iter(cands)
+        self._seq += 1
+        heapq.heappush(self.queues.setdefault(qkey, []),
+                       [t.size + 1, self._seq, t, cands])
 
     def _candidates(self, t: RTree) -> Iterator[Adj]:
         """The Grow candidates of ``t``, filtered by Grow1 and Grow2 as drawn."""
@@ -425,9 +409,9 @@ class RootedSearch(CTPSearch):
         heap = self.queues.get(qkey, [])
         while heap:
             entry = heap[0]
-            t, cands = entry[3:]
+            t, cands = entry[2:]
             if cands is None:
-                cands = entry[4] = self._candidates(t)
+                cands = entry[3] = self._candidates(t)
             # The entry's key is unchanged while it is consumed: the heap
             # stays valid. An exhausted entry is dropped on the next pop.
             for a in cands:

@@ -156,6 +156,20 @@ class EQLEngine:
         default_filters: CTPFilters = CTPFilters(),
         multi_queue: bool = False,
     ) -> EQLReport:
+        """Evaluate ``query`` by the §3 strategy: (A) its BGPs on Spark,
+        (B) each CTP searched in memory from the seed sets they bind, (C)
+        the natural join of the CTP tables and BGP frames, projected on
+        the head.
+
+        ``algo`` is a key of :data:`repro.core.ALGORITHMS`.
+        ``default_filters`` are the filters of every CTP, each field
+        overridden by the CTP's own filter clause (:func:`filters_from_spec`).
+        ``multi_queue`` is passed to every CTP search (§4.9); the BFT
+        algorithms reject it.
+
+        The :class:`EQLReport` holds, per CTP in query order, its seed sets,
+        its search outcome and its table, and the answer as ``result``.
+        """
         report = EQLReport()
         # Re-register this engine's view: several engines (one per graph)
         # may coexist on the shared session, and the compiled SQL refers

@@ -123,14 +123,6 @@ class BGP:
                     out.append(pred.var)
         return out
 
-    def node_vars(self) -> list[str]:
-        out: list[str] = []
-        for p in self.patterns:
-            for pred in (p.s, p.d):
-                if pred.var not in out:
-                    out.append(pred.var)
-        return out
-
 
 @dataclass(frozen=True)
 class CTPFilterSpec:
@@ -174,6 +166,8 @@ class Query:
     ctps: tuple[CTP, ...] = ()
 
     def __post_init__(self) -> None:
+        if not self.head:
+            raise ValueError("query head must name at least one variable")
         if not self.bgps and not self.ctps:
             raise ValueError("query body must contain at least one pattern")
         tree_vars = [c.tree_var for c in self.ctps]

@@ -1,10 +1,15 @@
 """Shared test helpers."""
 from __future__ import annotations
 
+import heapq
 import itertools
+from random import Random
 
 import numpy as np
 
+from repro.core import ALGORITHMS, PRESETS
+from repro.core.engine import RootedSearch
+from repro.core.filters import CTPFilters
 from repro.core.tree import ResultTree
 from repro.graph.model import Edge, LocalGraph
 from repro.lang.ast import BGP, EdgePattern
@@ -21,6 +26,44 @@ def edge_sets(results) -> set[frozenset[int]]:
     if hasattr(results, "results"):
         results = results.results
     return {r.edges for r in results}
+
+
+class RandomOrder(RootedSearch):
+    """The rooted engine with its Grow candidates popped in a seeded
+    arbitrary order instead of smallest tree first. The paper's
+    completeness claims hold under any order, and the incompleteness
+    counter-examples need orders that smallest-first avoids. Each
+    candidate takes its own queue entry, keyed by two draws of
+    ``Random(order)``."""
+
+    def __init__(self, *args, order: int, **kw) -> None:
+        super().__init__(*args, **kw)
+        self._rand = Random(order).random
+
+    def _push_grows(self, t) -> None:
+        if self.f.max_edges is not None and t.size >= self.f.max_edges:
+            return  # MAX
+        qkey = t.sat if self.cfg.multi_queue else 0
+        heap = self.queues.setdefault(qkey, [])
+        for a in self._candidates(t):
+            if self.cfg.multi_queue:
+                self.pending[qkey] = self.pending.get(qkey, 0) + 1
+            self._seq += 1
+            heapq.heappush(heap, [(self._rand(), self._rand()), self._seq, t,
+                                  iter((a,))])
+
+
+_PRESET_OF = {ALGORITHMS[name]: cfg for name, cfg in PRESETS.items()}
+
+
+def in_order(algo, g: LocalGraph, seed_sets: list, order: int | None,
+             filters: CTPFilters = CTPFilters()):
+    """Run the rooted entry point ``algo`` (``gam`` ... ``molesp``) with
+    its Grow candidates in the seeded order ``order`` (:class:`RandomOrder`);
+    None runs ``algo`` itself, smallest tree first."""
+    if order is None:
+        return algo(g, seed_sets, filters)
+    return RandomOrder(g, seed_sets, _PRESET_OF[algo], filters, order=order).run()
 
 
 def group_job_count(sc, group: str) -> int:

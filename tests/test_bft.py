@@ -1,7 +1,10 @@
 """Tests for the BFT family (§4.1, §4.3): completeness and minimization."""
+import inspect
+from inspect import Parameter as P
+
 import pytest
 
-from repro.core import bft, bft_am, bft_m
+from repro.core import ALGORITHMS, bft, bft_am, bft_m
 from repro.core.bft import is_unidirectional, minimize, tree_leaves
 from repro.core.bruteforce import enumerate_results
 from repro.core.filters import CTPFilters
@@ -63,18 +66,34 @@ def test_bft_rejects_all_nodes_sets():
 
 
 @pytest.mark.parametrize("algo", ALL_BFT)
-@pytest.mark.parametrize(
-    "option", [{"multi_queue": True}, {"rng_seed": 5}], ids=["multi_queue", "rng_seed"]
-)
+@pytest.mark.parametrize("option", [{"multi_queue": True}], ids=["multi_queue"])
 def test_bft_rejects_rooted_options(algo, option):
-    """BFT has one queue and no tie order to draw, so it rejects the
-    rooted engine's options instead of running without them; an unknown
-    keyword is a TypeError."""
+    """BFT has one queue, so it rejects the rooted engine's multi-queue
+    option instead of running without it; an unknown keyword is a
+    TypeError."""
     b = gen.fig3()
     with pytest.raises(ValueError, match=next(iter(option))):
         algo(b.graph, b.seed_sets, **option)
     with pytest.raises(TypeError):
         algo(b.graph, b.seed_sets, filter=CTPFilters(limit=1))
+
+
+def test_entry_points_take_one_option():
+    """Every ``ALGORITHMS`` entry point takes ``(g, seed_sets, filters)``
+    and one keyword-only option, ``multi_queue``: the exploration order
+    is not an option (the tests draw other orders with
+    ``tests/helpers.RandomOrder``)."""
+    b = gen.fig3()
+    for name, algo in ALGORITHMS.items():
+        params = inspect.signature(algo).parameters
+        assert [(p.name, p.kind) for p in params.values()] == [
+            ("g", P.POSITIONAL_OR_KEYWORD),
+            ("seed_sets", P.POSITIONAL_OR_KEYWORD),
+            ("filters", P.POSITIONAL_OR_KEYWORD),
+            ("multi_queue", P.KEYWORD_ONLY),
+        ], name
+        with pytest.raises(TypeError):
+            algo(b.graph, b.seed_sets, rng_seed=0)
 
 
 def test_bft_max_built_budget_cuts_search():

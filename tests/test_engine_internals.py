@@ -1,5 +1,7 @@
 """White-box tests for engine internals: seed signatures (§4.6), Mo trees
 (§4.5), provenance accounting, result tree invariants."""
+from functools import partial
+
 import pytest
 
 from repro.core.engine import ALL_NODES, RootedSearch, SearchConfig
@@ -7,6 +9,8 @@ from repro.core.filters import CTPFilters
 from repro.core.tree import ResultTree, RTree
 from repro.graph import generators as gen
 from repro.graph.model import Edge, LocalGraph
+
+from tests.helpers import RandomOrder
 
 
 def run_search(bundle, **cfg):
@@ -43,8 +47,13 @@ def grow_candidates(s, t):
             if a.other not in t.nodes and not s.node_sets.get(a.other, 0) & t.sat]
 
 
-def run_recorded(bundle, **cfg):
-    s = PopRecorder(bundle.graph, bundle.seed_sets, SearchConfig(**cfg))
+class RandomPopRecorder(PopRecorder, RandomOrder):
+    """A :class:`PopRecorder` whose Grow candidates pop in a seeded
+    arbitrary order."""
+
+
+def run_recorded(bundle, search=PopRecorder, **cfg):
+    s = search(bundle.graph, bundle.seed_sets, SearchConfig(**cfg))
     out = s.run()
     # An exhaustive search pops every candidate it queued.
     assert out.stop == "exhausted"
@@ -135,9 +144,11 @@ def test_queue_dedup_no_duplicate_entries():
     every pop is one Grow, and every candidate of every queued tree is
     popped."""
     b = gen.line(3, 1)
-    for cfg in ({}, {"esp": True, "mo": True, "lesp": True},
-                {"rng_seed": 1}, {"multi_queue": True}):
-        s, out = run_recorded(b, **cfg)
+    for search, cfg in ((PopRecorder, {}),
+                        (PopRecorder, {"esp": True, "mo": True, "lesp": True}),
+                        (partial(RandomPopRecorder, order=1), {}),
+                        (PopRecorder, {"multi_queue": True})):
+        s, out = run_recorded(b, search, **cfg)
         pairs = [(t.edges, t.root, a.eid) for t, a in s.popped]
         assert len(pairs) == len(set(pairs)) == out.stats.grows, cfg
         queued = [(t.edges, t.root) for t in s.pushed]

@@ -1,7 +1,9 @@
 """End-to-end EQL evaluation tests (§3 strategy) on the Figure 1 graph
 and CDF benchmark graphs."""
 import itertools
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,21 @@ AND CTP(x, y, z, *w)
 @pytest.fixture(scope="module")
 def fig1_engine(spark):
     return EQLEngine(spark, gen.figure1().graph)
+
+
+def test_readme_example(spark):
+    """The "EQL in 30 seconds" example, read from README.md itself, runs
+    on Figure 1 and returns its five diversity-ranked trees."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## EQL in 30 seconds", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {"spark": spark}
+    exec(code, scope)
+    report = scope["report"]
+    assert report.result.count() == 5
+    assert report.result.schema.simpleString() == (
+        "struct<x:bigint,y:bigint,z:bigint,w:array<bigint>,w_score:double>")
+    assert [o.stop for o in report.ctp_outcomes] == ["exhausted"]
 
 
 def test_q1_seed_sets(fig1_engine):

@@ -7,7 +7,7 @@ from repro.core.bruteforce import enumerate_results
 from repro.graph import generators as gen
 from repro.graph.random_graphs import random_graph
 
-from tests.helpers import edge_sets, keys
+from tests.helpers import edge_sets, in_order, keys
 
 ORDERS = [None, 0, 1, 2, 3, 4, 5, 6, 7]
 
@@ -29,14 +29,14 @@ def test_esp_complete_for_two_seed_sets(order, n_l):
     """Property 3: with m=2, ESP finds every result, any order."""
     b = gen.line(2, n_l)
     expect = keys(enumerate_results(b.graph, b.seed_sets))
-    assert keys(esp(b.graph, b.seed_sets, rng_seed=order)) == expect
+    assert keys(in_order(esp, b.graph, b.seed_sets, order)) == expect
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_esp_complete_m2_chain(order):
     b = gen.chain(3)
     expect = keys(enumerate_results(b.graph, b.seed_sets))
-    assert keys(esp(b.graph, b.seed_sets, rng_seed=order)) == expect
+    assert keys(in_order(esp, b.graph, b.seed_sets, order)) == expect
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -45,7 +45,7 @@ def test_esp_complete_m2_random(order):
     nodes = sorted(g.nodes)
     ss = [[nodes[0]], [nodes[5]]]
     expect = keys(enumerate_results(g, ss))
-    assert keys(esp(g, ss, rng_seed=order)) == expect
+    assert keys(in_order(esp, g, ss, order)) == expect
 
 
 def test_esp_incomplete_on_fig3():
@@ -53,7 +53,7 @@ def test_esp_incomplete_on_fig3():
     smallest-first order) ESP misses the only fig3 result."""
     b = gen.fig3()
     missed = [
-        o for o in ORDERS if not esp(b.graph, b.seed_sets, rng_seed=o).results
+        o for o in ORDERS if not in_order(esp, b.graph, b.seed_sets, o).results
     ]
     assert missed, "ESP unexpectedly complete on fig3 for every probed order"
 
@@ -82,8 +82,8 @@ def test_esp_prunes_vs_gam():
 def test_moesp_superset_of_esp():
     b = gen.fig3()
     for o in ORDERS:
-        assert keys(esp(b.graph, b.seed_sets, rng_seed=o)) <= keys(
-            moesp(b.graph, b.seed_sets, rng_seed=o)
+        assert keys(in_order(esp, b.graph, b.seed_sets, o)) <= keys(
+            in_order(moesp, b.graph, b.seed_sets, o)
         )
 
 
@@ -91,7 +91,7 @@ def test_moesp_superset_of_esp():
 def test_moesp_finds_fig3_result(order):
     """§4.5: MoESP finds the fig3 result (2ps) under every order."""
     b = gen.fig3()
-    assert len(moesp(b.graph, b.seed_sets, rng_seed=order).results) == 1
+    assert len(in_order(moesp, b.graph, b.seed_sets, order).results) == 1
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -102,14 +102,14 @@ def test_moesp_finds_fig3_result(order):
 def test_moesp_finds_2ps_results(order, bundle):
     """Property 4: all 2-piecewise-simple results are found."""
     expect = keys(enumerate_results(bundle.graph, bundle.seed_sets))
-    assert keys(moesp(bundle.graph, bundle.seed_sets, rng_seed=order)) == expect
+    assert keys(in_order(moesp, bundle.graph, bundle.seed_sets, order)) == expect
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_moesp_finds_all_path_results(order):
     """Property 5: path results (alternating seeds) are always found."""
     b = gen.line(5, 1)
-    out = moesp(b.graph, b.seed_sets, rng_seed=order)
+    out = in_order(moesp, b.graph, b.seed_sets, order)
     assert len(out.results) == 1
 
 
@@ -120,7 +120,7 @@ def test_moesp_may_miss_3simple_under_some_order():
     b = gen.fig5()
     missed = [
         o for o in range(60)
-        if not moesp(b.graph, b.seed_sets, rng_seed=o).results
+        if not in_order(moesp, b.graph, b.seed_sets, o).results
     ]
     assert missed, "expected at least one order where MoESP misses fig5"
 
@@ -131,7 +131,7 @@ def test_moesp_may_miss_3simple_under_some_order():
 def test_lesp_finds_rooted_merges_fig5(order):
     """Lemma 4.2 / Property 6: (3,n)-rooted merges are always found."""
     b = gen.fig5()
-    assert len(lesp(b.graph, b.seed_sets, rng_seed=order).results) == 1
+    assert len(in_order(lesp, b.graph, b.seed_sets, order).results) == 1
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -139,7 +139,7 @@ def test_lesp_finds_rooted_merges_fig5(order):
 def test_lesp_finds_star_results(order, m):
     """A Star result is a (u,n)-rooted merge: LESP must find it."""
     b = gen.star(m, 2)
-    assert len(lesp(b.graph, b.seed_sets, rng_seed=order).results) == 1
+    assert len(in_order(lesp, b.graph, b.seed_sets, order).results) == 1
 
 
 def test_lesp_may_miss_fig6_under_some_order():
@@ -148,7 +148,7 @@ def test_lesp_may_miss_fig6_under_some_order():
     b = gen.fig6()
     missed = [
         o for o in range(60)
-        if not lesp(b.graph, b.seed_sets, rng_seed=o).results
+        if not in_order(lesp, b.graph, b.seed_sets, o).results
     ]
     assert missed, "expected at least one order where LESP misses fig6"
 
@@ -156,8 +156,8 @@ def test_lesp_may_miss_fig6_under_some_order():
 def test_lesp_superset_of_esp_results():
     b = gen.fig5()
     for o in ORDERS:
-        assert keys(esp(b.graph, b.seed_sets, rng_seed=o)) <= keys(
-            lesp(b.graph, b.seed_sets, rng_seed=o)
+        assert keys(in_order(esp, b.graph, b.seed_sets, o)) <= keys(
+            in_order(lesp, b.graph, b.seed_sets, o)
         )
 
 

@@ -50,7 +50,6 @@ def test_bgp_connected_ok():
         EdgePattern(var("b"), var("e2"), var("c")),
     ))
     assert b.variables() == ["a", "e1", "b", "e2", "c"]
-    assert b.node_vars() == ["a", "b", "c"]
 
 
 def test_ctp_m_and_distinct_vars():
@@ -69,7 +68,12 @@ def test_query_validations():
     with pytest.raises(ValueError):
         Query(("zz",), (), (ctp,))  # head var not in body
     with pytest.raises(ValueError):
-        Query((), (), ())  # empty body
+        Query(("x",), (), ())  # empty body
+    with pytest.raises(ValueError):
+        Query((), (), (ctp,))  # empty head
+    bgp = BGP((EdgePattern(var("x"), var("e"), var("y")),))
+    with pytest.raises(ValueError):
+        Query((), (bgp,))  # empty head
 
 
 def test_query_duplicate_tree_var_rejected():

@@ -7,7 +7,7 @@ from repro.core.bruteforce import enumerate_results
 from repro.graph import generators as gen
 from repro.graph.random_graphs import random_graph
 
-from tests.helpers import keys
+from tests.helpers import in_order, keys
 
 ORDERS = [None, 0, 1, 2, 3, 4, 5, 6, 7]
 
@@ -22,7 +22,7 @@ ORDERS = [None, 0, 1, 2, 3, 4, 5, 6, 7]
 def test_molesp_complete_m3(order, bundle):
     """Property 8: MoLESP is complete for m <= 3, for any order."""
     expect = keys(enumerate_results(bundle.graph, bundle.seed_sets))
-    out = molesp(bundle.graph, bundle.seed_sets, rng_seed=order)
+    out = in_order(molesp, bundle.graph, bundle.seed_sets, order)
     assert keys(out) == expect
 
 
@@ -34,21 +34,21 @@ def test_molesp_complete_m3_random(trial, order):
     m = 2 + trial % 2
     ss = [[nodes[i * 2]] for i in range(m)]
     expect = keys(enumerate_results(g, ss))
-    assert keys(molesp(g, ss, rng_seed=order)) == expect
+    assert keys(in_order(molesp, g, ss, order)) == expect
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_molesp_finds_3ps_results(order):
     """Property 7 on fig4 + an extra 3-simple piece: 3ps results found."""
     b = gen.fig5()  # 3-simple single piece
-    assert len(molesp(b.graph, b.seed_sets, rng_seed=order).results) == 1
+    assert len(in_order(molesp, b.graph, b.seed_sets, order).results) == 1
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_molesp_property9_fig7(order):
     """Property 9: every theta(t) piece a rooted merge => found, m=6."""
     b = gen.fig7()
-    assert len(molesp(b.graph, b.seed_sets, rng_seed=order).results) == 1
+    assert len(in_order(molesp, b.graph, b.seed_sets, order).results) == 1
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -56,7 +56,7 @@ def test_molesp_property9_fig7(order):
 def test_molesp_property9_stars(order, m):
     """Star results are (m, center)-rooted merges (Property 9 / §5.3)."""
     b = gen.star(m, 2)
-    assert len(molesp(b.graph, b.seed_sets, rng_seed=order).results) == 1
+    assert len(in_order(molesp, b.graph, b.seed_sets, order).results) == 1
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -64,23 +64,23 @@ def test_molesp_property9_stars(order, m):
 def test_molesp_line_results(order, params):
     """Line results are 2ps (Property 4 via MoESP component)."""
     b = gen.line(*params)
-    assert len(molesp(b.graph, b.seed_sets, rng_seed=order).results) == 1
+    assert len(in_order(molesp, b.graph, b.seed_sets, order).results) == 1
 
 
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("params", [(2, 1, 2, 1), (3, 1, 2, 2), (2, 2, 1, 1)])
 def test_molesp_comb_results(order, params):
     b = gen.comb(*params)
-    assert len(molesp(b.graph, b.seed_sets, rng_seed=order).results) == 1
+    assert len(in_order(molesp, b.graph, b.seed_sets, order).results) == 1
 
 
 def test_molesp_superset_of_moesp_and_lesp():
     b = gen.fig6()
     for o in ORDERS:
-        mol = keys(molesp(b.graph, b.seed_sets, rng_seed=o))
-        assert keys(moesp(b.graph, b.seed_sets, rng_seed=o)) <= mol
-        assert keys(lesp(b.graph, b.seed_sets, rng_seed=o)) <= mol
-        assert keys(esp(b.graph, b.seed_sets, rng_seed=o)) <= mol
+        mol = keys(in_order(molesp, b.graph, b.seed_sets, o))
+        assert keys(in_order(moesp, b.graph, b.seed_sets, o)) <= mol
+        assert keys(in_order(lesp, b.graph, b.seed_sets, o)) <= mol
+        assert keys(in_order(esp, b.graph, b.seed_sets, o)) <= mol
 
 
 def test_molesp_sound_m4plus():
@@ -109,7 +109,7 @@ def test_molesp_may_miss_non_property9_m4():
     b = gen.fig6()
     missed = [
         o for o in range(60)
-        if not molesp(b.graph, b.seed_sets, rng_seed=o).results
+        if not in_order(molesp, b.graph, b.seed_sets, o).results
     ]
     assert missed
 

@@ -10,7 +10,7 @@ from repro.core.filters import CTPFilters
 from repro.core.scoring import size_score
 from repro.graph.random_graphs import random_graph
 
-from tests.helpers import keys
+from tests.helpers import in_order, keys
 
 _settings = settings(
     max_examples=25,
@@ -67,7 +67,7 @@ def test_molesp_complete_m_le_3(gs, order):
     """Property 8 under arbitrary execution orders."""
     g, ss = gs
     expect = keys(enumerate_results(g, ss))
-    assert keys(molesp(g, ss, rng_seed=order)) == expect
+    assert keys(in_order(molesp, g, ss, order)) == expect
 
 
 @given(graph_and_seeds(max_m=4))
@@ -93,7 +93,7 @@ def test_pruned_variants_sound(gs, order):
     g, ss = gs
     expect = keys(enumerate_results(g, ss))
     for algo in (esp, moesp, lesp, molesp):
-        assert keys(algo(g, ss, rng_seed=order)) <= expect
+        assert keys(in_order(algo, g, ss, order)) <= expect
 
 
 @given(graph_and_seeds(max_m=2), st.integers(0, 5))
@@ -102,7 +102,7 @@ def test_esp_complete_m2(gs, order):
     """Property 3: ESP is complete for two seed sets, any order."""
     g, ss = gs
     expect = keys(enumerate_results(g, ss))
-    assert keys(esp(g, ss, rng_seed=order)) == expect
+    assert keys(in_order(esp, g, ss, order)) == expect
 
 
 @given(graph_and_seeds(max_m=4))
@@ -121,14 +121,15 @@ def test_variant_inclusion_chain(gs, order):
     """ESP ⊆ MoESP ⊆ MoLESP and LESP ⊆ MoLESP under any one order, and
     ESP ⊆ LESP in the default order. The paper does not claim ESP ⊆ LESP
     under every order, and an arbitrary order breaks it: on
-    random_graph(6, 13, seed=3339) with seed sets [[2], [5], [4]] and
-    rng_seed=2, ESP finds two trees that LESP misses."""
+    random_graph(6, 13, seed=3339) with seed sets [[2], [5], [4]] in
+    order 2 (``tests/helpers.RandomOrder``), ESP finds two trees that LESP
+    misses."""
     g, ss = gs
     assert keys(esp(g, ss)) <= keys(lesp(g, ss))
-    e = keys(esp(g, ss, rng_seed=order))
-    mo = keys(moesp(g, ss, rng_seed=order))
-    le = keys(lesp(g, ss, rng_seed=order))
-    mol = keys(molesp(g, ss, rng_seed=order))
+    e = keys(in_order(esp, g, ss, order))
+    mo = keys(in_order(moesp, g, ss, order))
+    le = keys(in_order(lesp, g, ss, order))
+    mol = keys(in_order(molesp, g, ss, order))
     assert e <= mo <= mol
     assert le <= mol
 

@@ -24,6 +24,8 @@ from repro.graph import generators as gen
 from repro.graph.model import Edge, LocalGraph
 from repro.graph.random_graphs import dbpedia_lite, random_graph, sample_ctp_workload
 
+from tests.helpers import in_order
+
 
 def fingerprint(out):
     s = out.stats
@@ -74,7 +76,7 @@ def _label():
 
 def _random_priority():
     g, ss = _three_seeds(6)
-    return [esp(g, ss, rng_seed=0, filters=CTPFilters(limit=3))]
+    return [in_order(esp, g, ss, 0, filters=CTPFilters(limit=3))]
 
 
 PINNED = {
