@@ -66,13 +66,18 @@ def test_bft_rejects_all_nodes_sets():
 
 
 @pytest.mark.parametrize("algo", ALL_BFT)
-@pytest.mark.parametrize("option", [{"multi_queue": True}], ids=["multi_queue"])
-def test_bft_rejects_rooted_options(algo, option):
+@pytest.mark.parametrize(
+    "option, error",
+    [({"multi_queue": True}, ValueError), ({"rng_seed": 5}, TypeError)],
+    ids=["multi_queue", "rng_seed"],
+)
+def test_bft_rejects_rooted_options(algo, option, error):
     """BFT has one queue, so it rejects the rooted engine's multi-queue
-    option instead of running without it; an unknown keyword is a
-    TypeError."""
+    option instead of running without it; no entry point has a seeded
+    tie order any more, so ``rng_seed`` is an unknown keyword, a
+    TypeError like any other."""
     b = gen.fig3()
-    with pytest.raises(ValueError, match=next(iter(option))):
+    with pytest.raises(error, match=next(iter(option))):
         algo(b.graph, b.seed_sets, **option)
     with pytest.raises(TypeError):
         algo(b.graph, b.seed_sets, filter=CTPFilters(limit=1))
