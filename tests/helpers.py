@@ -34,20 +34,18 @@ class RandomOrder(RootedSearch):
     completeness claims hold under any order, and the incompleteness
     counter-examples need orders that smallest-first avoids. Each
     candidate takes its own queue entry, keyed by two draws of
-    ``Random(order)``."""
+    ``Random(order)``. It runs with one queue only."""
 
     def __init__(self, *args, order: int, **kw) -> None:
         super().__init__(*args, **kw)
+        assert not self.cfg.multi_queue
         self._rand = Random(order).random
 
     def _push_grows(self, t) -> None:
         if self.f.max_edges is not None and t.size >= self.f.max_edges:
             return  # MAX
-        qkey = t.sat if self.cfg.multi_queue else 0
-        heap = self.queues.setdefault(qkey, [])
+        heap = self.queues.setdefault(0, [])
         for a in self._candidates(t):
-            if self.cfg.multi_queue:
-                self.pending[qkey] = self.pending.get(qkey, 0) + 1
             self._seq += 1
             heapq.heappush(heap, [(self._rand(), self._rand()), self._seq, t,
                                   iter((a,))])

@@ -65,15 +65,15 @@ def test_query_validations():
     ctp = CTP((var("x"), var("y")), "w")
     q = Query(("x", "w"), (), (ctp,))
     assert q.simple_variables() == ["x", "y"]
-    with pytest.raises(ValueError):
-        Query(("zz",), (), (ctp,))  # head var not in body
-    with pytest.raises(ValueError):
-        Query(("x",), (), ())  # empty body
-    with pytest.raises(ValueError):
-        Query((), (), (ctp,))  # empty head
+    with pytest.raises(ValueError, match="not in body"):
+        Query(("zz",), (), (ctp,))
+    with pytest.raises(ValueError, match="body must contain"):
+        Query(("x",), (), ())
+    with pytest.raises(ValueError, match="head must name"):
+        Query((), (), (ctp,))
     bgp = BGP((EdgePattern(var("x"), var("e"), var("y")),))
-    with pytest.raises(ValueError):
-        Query((), (bgp,))  # empty head
+    with pytest.raises(ValueError, match="head must name"):
+        Query((), (bgp,))
 
 
 def test_query_duplicate_tree_var_rejected():
