@@ -14,7 +14,7 @@ from collections import deque
 from ..graph.model import LocalGraph
 from .engine import CTPSearch, is_all_nodes
 from .filters import CTPFilters
-from .tree import ResultTree, uni_root
+from .tree import ResultTree
 
 
 def tree_leaves(edges: frozenset[int], g: LocalGraph) -> set[int]:
@@ -56,8 +56,18 @@ def minimize(
 
 
 def is_unidirectional(edges: frozenset[int], g: LocalGraph) -> bool:
-    """True iff the tree has a root with directed paths to all leaves."""
-    return not edges or uni_root(edges, g) is not None
+    """True iff the tree is root-directed (UNI): one node, its root, has
+    tree-in-degree 0 and every other node in-degree 1, so that directed
+    paths lead from the root to every leaf. The edgeless tree is."""
+    dsts: set[int] = set()
+    srcs = []
+    for e in edges:
+        s, d = g.edge_endpoints(e)
+        if d in dsts:
+            return False
+        dsts.add(d)
+        srcs.append(s)
+    return not edges or len({s for s in srcs if s not in dsts}) == 1
 
 
 class _UTree:

@@ -5,7 +5,7 @@ implementation-level deterministic budget (a step counter standing in for
 wall-clock timeouts in tests, where timing would be flaky)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -17,7 +17,8 @@ ScoreFn = Callable[["ResultTree", "LocalGraph"], float]
 
 @dataclass(frozen=True)
 class CTPFilters:
-    """Filters attached to one CTP.
+    """Filters attached to one CTP, as the parser reads its clause
+    (``lang.ast.CTP.filters``) and as the search takes them.
 
     uni        only trees with a root having directed paths to every seed
     labels     allowed edge labels (None = all)
@@ -46,7 +47,8 @@ class CTPFilters:
             if k is not None and k < 0:
                 raise ValueError(f"{name} must be >= 0, not {k}")
 
-    def with_(self, **kw) -> "CTPFilters":
-        if "labels" in kw and kw["labels"] is not None:
-            kw["labels"] = frozenset(kw["labels"])
-        return replace(self, **kw)
+    def over(self, defaults: "CTPFilters") -> "CTPFilters":
+        """``defaults`` with each field that this record sets to a
+        non-default value overridden by it."""
+        kw = {f.name: v for f in fields(self) if (v := getattr(self, f.name)) != f.default}
+        return replace(defaults, **kw) if kw else defaults

@@ -31,3 +31,11 @@ def specificity_score(t: ResultTree, g: LocalGraph) -> float:
         return 0.0
     mean_deg = sum(g.degree.get(n, 0) for n in t.nodes) / len(t.nodes)
     return 1.0 / (1.0 + mean_deg)
+
+
+# The names that EQL's SCORE clause resolves, at parse time.
+SCORES = {
+    "size": size_score,
+    "diversity": label_diversity,
+    "specificity": specificity_score,
+}

@@ -8,10 +8,6 @@ nodes when it is reported."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..graph.model import LocalGraph
 
 
 class RTree:
@@ -83,20 +79,3 @@ class ResultTree:
             if i == set_idx:
                 return n
         raise KeyError(set_idx)
-
-
-def uni_root(edges: frozenset[int], g: "LocalGraph") -> int | None:
-    """The root of a root-directed tree (UNI): the one node of tree-in-degree
-    0 when every other node has in-degree 1, so that directed paths lead
-    from it to every leaf. None for a tree that is not root-directed and
-    for the edgeless tree, whose root is its one node."""
-    dsts: set[int] = set()
-    srcs = []
-    for e in edges:
-        s, d = g.edge_endpoints(e)
-        if d in dsts:
-            return None
-        dsts.add(d)
-        srcs.append(s)
-    roots = {s for s in srcs if s not in dsts}
-    return roots.pop() if len(roots) == 1 else None

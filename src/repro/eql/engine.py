@@ -24,39 +24,18 @@
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .. import core
-from ..core import scoring
 from ..core.engine import ALL_NODES, SearchOutcome, SearchStats, is_all_nodes
 from ..core.filters import CTPFilters
 from ..core.tree import ResultTree
 from ..graph.model import LocalGraph
-from ..lang.ast import BGP, CTP, CTPFilterSpec, Pred, Query
+from ..lang.ast import BGP, CTP, Pred, Query
 from .bgp import to_sql
-
-SCORE_REGISTRY = {
-    "size": scoring.size_score,
-    "diversity": scoring.label_diversity,
-    "specificity": scoring.specificity_score,
-}
-
-
-def filters_from_spec(
-    spec: CTPFilterSpec, defaults: CTPFilters = CTPFilters()
-) -> CTPFilters:
-    """``defaults`` overridden by every field of ``spec`` that differs
-    from its default, the SCORE name resolved through ``SCORE_REGISTRY``."""
-    kw = {f.name: v for f in fields(spec) if (v := getattr(spec, f.name)) != f.default}
-    if "score" in kw:
-        if kw["score"] not in SCORE_REGISTRY:
-            raise ValueError(f"unknown SCORE {kw['score']!r}; known: "
-                             + ", ".join(SCORE_REGISTRY))
-        kw["score"] = SCORE_REGISTRY[kw["score"]]
-    return defaults.with_(**kw) if kw else defaults
 
 
 @dataclass
@@ -161,9 +140,11 @@ class EQLEngine:
         the natural join of the CTP tables and BGP frames, projected on
         the head.
 
-        ``algo`` is a key of :data:`repro.core.ALGORITHMS`.
-        ``default_filters`` are the filters of every CTP, each field
-        overridden by the CTP's own filter clause (:func:`filters_from_spec`).
+        ``algo`` is a key of :data:`repro.core.ALGORITHMS`. MoLESP, the
+        default, can miss results that GAM returns for a CTP with an N seed
+        set and two or more concrete ones (DESIGN.md §6).
+        ``default_filters`` are the filters of every CTP; each filter that
+        the CTP's own clause sets overrides them (:meth:`CTPFilters.over`).
         ``multi_queue`` is passed to every CTP search (§4.9); the BFT
         algorithms reject it.
 
@@ -195,7 +176,7 @@ class EQLEngine:
         for ctp in query.ctps:
             seed_sets = [self._seed_set(p, bound) for p in ctp.preds]
             report.seed_sets.append(seed_sets)
-            filters = filters_from_spec(ctp.filters, default_filters)
+            filters = ctp.filters.over(default_filters)
             if any(s == [] for s in seed_sets):
                 # An empty concrete seed set has no connecting tree; the
                 # search engines reject it, so it is not run.

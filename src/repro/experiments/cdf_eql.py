@@ -51,12 +51,11 @@ def run(
     spark,
     *,
     m: int = 2,
-    s_l_values: tuple[int, ...] = (3, 6),
     full: bool = False,
 ) -> pd.DataFrame:
     rows = []
     query_text = Q_M2 if m == 2 else Q_M3
-    for s_l in s_l_values:
+    for s_l in (3, 6):
         for n_t, n_l in _sizes(full):
             b = gen.cdf(m, n_t=n_t, n_l=n_l, s_l=s_l, seed=17)
             eng = EQLEngine(spark, b.graph)

@@ -46,12 +46,12 @@ WHERE CTP(a{label="e0"}, n, *t) MAX 2 UNI LIMIT 500
 '''
 
 
-def run(spark, *, scale: float = 0.25, timeout_s: float = 60.0) -> pd.DataFrame:
+def run(spark, *, scale: float = 0.25) -> pd.DataFrame:
     g = yago_lite(scale=scale, seed=11)
     eng = EQLEngine(spark, g)
     edges_df = eng.dfs["edges"].select("id", "src", "label", "dst").cache()
     edges_df.count()
-    defaults = CTPFilters(timeout_s=timeout_s)
+    defaults = CTPFilters(timeout_s=60.0)
     rows = []
 
     def record(query, system, dt, n, note=""):

@@ -1,3 +1,3 @@
 """EQL language: AST (§2 definitions) and text parser."""
-from .ast import BGP, CTP, Cond, CTPFilterSpec, EdgePattern, Pred, Query, const, var  # noqa: F401
+from .ast import BGP, CTP, Cond, EdgePattern, Pred, Query, const, var  # noqa: F401
 from .parser import ParseError, parse  # noqa: F401

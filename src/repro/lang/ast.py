@@ -12,6 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..core.filters import CTPFilters
+
+
 def _like_regex(pattern: str) -> str:
     """A ``~`` pattern as a regex: ``*`` matches any string, every other
     character only itself (as SQL LIKE reads it in ``eql.bgp._like``)."""
@@ -125,25 +128,12 @@ class BGP:
 
 
 @dataclass(frozen=True)
-class CTPFilterSpec:
-    """Parsed filter clause of a CTP (§2 'CTP filters')."""
-
-    uni: bool = False
-    labels: frozenset[str] | None = None
-    max_edges: int | None = None
-    top_k: int | None = None
-    limit: int | None = None
-    score: str | None = None      # name resolved by the engine
-    timeout_s: float | None = None
-
-
-@dataclass(frozen=True)
 class CTP:
     """(g_1, .., g_m, tree_var): the tree_var is the underlined variable."""
 
     preds: tuple[Pred, ...]
     tree_var: str
-    filters: CTPFilterSpec = CTPFilterSpec()
+    filters: CTPFilters = CTPFilters()
 
     def __post_init__(self) -> None:
         if len(self.preds) < 2:
@@ -173,7 +163,13 @@ class Query:
         tree_vars = [c.tree_var for c in self.ctps]
         if len(set(tree_vars)) != len(tree_vars):
             raise ValueError("each CTP tree variable must appear exactly once")
-        body = set(self.simple_variables()) | set(tree_vars)
+        simple = set(self.simple_variables())
+        for w in tree_vars:
+            if w in simple:
+                raise ValueError(
+                    f"tree variable {w!r} is also a node or edge variable"
+                )
+        body = simple | set(tree_vars)
         for h in self.head:
             if h not in body:
                 raise ValueError(f"head variable {h!r} not in body")

@@ -14,6 +14,10 @@ Grammar (whitespace/newline insensitive)::
     cond    := prop op '"' value '"'    with prop in {label, type},
                                         op in {=, ~, <, <=}
 
+A CTP's filters are read into one ``CTPFilters``, the record the search
+takes: SCORE names a function of ``core.scoring.SCORES``, and TOP needs
+SCORE (§2: ``SCORE σ [TOP k]``).
+
 The underlined CTP tree variable is written ``*w``. Consecutive edge
 patterns that share variables are grouped into maximal connected BGPs
 (Def. 2.4), mirroring how the paper draws query bodies. Each constant
@@ -26,9 +30,9 @@ from __future__ import annotations
 import itertools
 import re
 
-from .ast import (
-    BGP, CTP, Cond, CTPFilterSpec, EdgePattern, Pred, Query, connected_groups, const,
-)
+from ..core.filters import CTPFilters
+from ..core.scoring import SCORES
+from .ast import BGP, CTP, Cond, EdgePattern, Pred, Query, connected_groups, const
 
 _TOKEN = re.compile(
     r"""
@@ -135,7 +139,14 @@ def _token(kind: str, convert=str):
     return read
 
 
-# Each CTP filter keyword: the CTPFilterSpec field it sets, and its reader.
+def _score(name: str):
+    """The score function of ``SCORE name``."""
+    if name not in SCORES:
+        raise ParseError(f"unknown score {name!r}; known: " + ", ".join(SCORES))
+    return SCORES[name]
+
+
+# Each CTP filter keyword: the CTPFilters field it sets, and its reader.
 _FILTERS = {
     "UNI": ("uni", lambda ts: True),
     "LABEL": ("labels", lambda ts: frozenset(_braced(ts, _label))),
@@ -143,11 +154,11 @@ _FILTERS = {
     "TOP": ("top_k", _token("num", int)),
     "LIMIT": ("limit", _token("num", int)),
     "TIMEOUT": ("timeout_s", _token("num", float)),
-    "SCORE": ("score", _token("name")),
+    "SCORE": ("score", _token("name", _score)),
 }
 
 
-def _parse_ctp_filters(ts: _Tokens) -> CTPFilterSpec:
+def _parse_ctp_filters(ts: _Tokens) -> CTPFilters:
     spec: dict = {}
     while (t := ts.peek()) and t[0] == "name" and t[1].upper() in _FILTERS:
         kw = ts.next()[1].upper()
@@ -158,7 +169,10 @@ def _parse_ctp_filters(ts: _Tokens) -> CTPFilterSpec:
             spec[field] = read(ts)
         except ValueError as e:  # ParseError included
             raise ParseError(f"{kw}: {e}") from None
-    return CTPFilterSpec(**spec)
+    try:
+        return CTPFilters(**spec)
+    except ValueError as e:  # TOP without SCORE
+        raise ParseError(str(e)) from None
 
 
 def parse(text: str) -> Query:

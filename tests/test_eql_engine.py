@@ -2,22 +2,20 @@
 and CDF benchmark graphs."""
 import itertools
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from repro.core import ALL_NODES
 from repro.core.filters import CTPFilters
-from repro.core.scoring import size_score
-from repro.eql import EQLEngine, filters_from_spec, to_sql
-from repro.eql.engine import SCORE_REGISTRY
+from repro.core.scoring import label_diversity, size_score
+from repro.eql import EQLEngine, to_sql
 from repro.experiments import table1_yago
 from repro.experiments.cdf_eql import Q_M2, Q_M3
 from repro.graph import generators as gen
 from repro.graph.random_graphs import yago_lite
 from repro.lang import parse
-from repro.lang.ast import CTPFilterSpec
 from repro.oracle import assert_equivalent, connect
 
 from .helpers import group_job_count
@@ -319,32 +317,30 @@ def test_empty_guard_among_bound_bgps(fig1_engine):
     ]
 
 
-def test_filters_from_spec_merges_defaults():
-    f = filters_from_spec(
-        CTPFilterSpec(uni=True, max_edges=3), CTPFilters(timeout_s=5.0)
-    )
+def test_over_merges_defaults():
+    f = CTPFilters(uni=True, max_edges=3).over(CTPFilters(timeout_s=5.0))
     assert f.uni and f.max_edges == 3 and f.timeout_s == 5.0
-    assert filters_from_spec(CTPFilterSpec(), CTPFilters(limit=2)).limit == 2
+    assert CTPFilters().over(CTPFilters(limit=2)).limit == 2
 
 
-# One value per CTPFilterSpec field that differs from its default; a field
-# added to the grammar must get one here.
-_SPEC_VALUES = {
+# One value per CTPFilters field that differs from its default; a field
+# added to the record must get one here.
+_CLAUSE_VALUES = {
     "uni": True, "labels": frozenset({"citizenOf"}), "max_edges": 3,
-    "top_k": 2, "limit": 5, "score": "diversity", "timeout_s": 1.5,
+    "top_k": 2, "limit": 5, "score": label_diversity, "timeout_s": 1.5,
+    "max_built": 100,
 }
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(CTPFilterSpec)])
-def test_filters_from_spec_carries_every_field(name):
-    """A spec that sets only ``name`` gives the defaults with that field
-    set, SCORE resolved by name; no field of the grammar is dropped."""
-    defaults = CTPFilters(score=size_score)
-    value = _SPEC_VALUES[name]
-    f = filters_from_spec(CTPFilterSpec(**{name: value}), defaults)
-    expected = SCORE_REGISTRY[value] if name == "score" else value
-    assert getattr(f, name) == expected
-    assert f == defaults.with_(**{name: expected})
+@pytest.mark.parametrize("name", [f.name for f in fields(CTPFilters)])
+def test_over_carries_every_field(name):
+    """A clause that sets ``name`` (TOP with its SCORE) gives the defaults
+    with that field set; no filter of the clause is dropped."""
+    defaults = CTPFilters(score=size_score, timeout_s=9.0)
+    clause = {name: _CLAUSE_VALUES[name]}
+    if name == "top_k":
+        clause["score"] = label_diversity
+    assert CTPFilters(**clause).over(defaults) == replace(defaults, **clause)
 
 
 # ---- CDF integration (the §5.5.1 workloads at test scale) ----------------

@@ -6,11 +6,10 @@ from repro.core import ALGORITHMS, bft, bft_am, gam, molesp
 from repro.core.bruteforce import enumerate_results
 from repro.core.filters import CTPFilters
 from repro.core.scoring import label_diversity, size_score, specificity_score
-from repro.eql.engine import filters_from_spec
 from repro.graph import generators as gen
 from repro.graph.model import Edge, LocalGraph
 from repro.graph.random_graphs import random_graph
-from repro.lang import parse
+from repro.lang import ParseError, parse
 
 from tests.helpers import keys
 from tests.test_gc_pause import ENDS, INPUTS
@@ -148,14 +147,11 @@ def test_score_values():
 
 def test_top_k_needs_score():
     """The grammar is SCORE sigma [TOP k]: TOP alone is rejected, in code
-    and in EQL, while a query TOP over a default SCORE stays valid."""
+    and in EQL."""
     with pytest.raises(ValueError, match="SCORE"):
         CTPFilters(top_k=1)
-    spec = parse('SELECT w WHERE CTP("A", "B", *w) TOP 1').ctps[0].filters
-    with pytest.raises(ValueError, match="SCORE"):
-        filters_from_spec(spec)
-    f = filters_from_spec(spec, CTPFilters(score=size_score))
-    assert f.top_k == 1 and f.score is size_score
+    with pytest.raises(ParseError, match="SCORE"):
+        parse('SELECT w WHERE CTP("A", "B", *w) TOP 1')
 
 
 @pytest.mark.parametrize("kw", [
@@ -170,9 +166,8 @@ def test_negative_limit_and_top_k_rejected(kw):
 
 
 def test_unknown_score_names_the_known_ones():
-    spec = parse('SELECT w WHERE CTP("A", "B", *w) SCORE nosuch').ctps[0].filters
-    with pytest.raises(ValueError, match="nosuch.*size, diversity, specificity"):
-        filters_from_spec(spec)
+    with pytest.raises(ParseError, match="nosuch.*size, diversity, specificity"):
+        parse('SELECT w WHERE CTP("A", "B", *w) SCORE nosuch')
 
 
 @pytest.mark.parametrize("algo", ALGOS, ids=["gam", "molesp", "bft"])
@@ -209,12 +204,6 @@ def test_perfbench_flags_follow_stop(algo, end):
     out = ALGORITHMS[algo](g, ss, filters=filters)
     assert out.stop == stop
     assert (out.exhausted, out.limit_hit, out.timed_out) == PERFBENCH_FLAGS[stop]
-
-
-def test_filters_with_copies():
-    f = CTPFilters().with_(uni=True, labels={"a", "b"}, max_edges=4)
-    assert f.uni and f.labels == frozenset({"a", "b"}) and f.max_edges == 4
-    assert CTPFilters().labels is None  # original untouched
 
 
 def test_combined_filters():

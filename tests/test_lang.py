@@ -1,8 +1,13 @@
 """Tests for the EQL AST and parser (§2 syntax)."""
+from dataclasses import fields
+
 import pytest
 
+from repro.core.filters import CTPFilters
+from repro.core.scoring import size_score
 from repro.lang import BGP, CTP, Cond, EdgePattern, ParseError, Pred, Query, parse
 from repro.lang.ast import const, var
+from repro.lang.parser import _FILTERS
 
 
 # ---- AST construction ----------------------------------------------------
@@ -74,6 +79,14 @@ def test_query_validations():
     bgp = BGP((EdgePattern(var("x"), var("e"), var("y")),))
     with pytest.raises(ValueError, match="head must name"):
         Query((), (bgp,))
+    # A tree variable binds trees, so it names no node or edge: not one of
+    # a BGP, nor a seed variable of another CTP.
+    w_edge = BGP((EdgePattern(var("x"), var("w"), var("y")),))
+    with pytest.raises(ValueError, match="tree variable 'w' is also a node or edge"):
+        Query(("w",), (w_edge,), (ctp,))
+    w_seed = CTP((var("w"), var("y")), "v")
+    with pytest.raises(ValueError, match="tree variable 'w' is also a node or edge"):
+        Query(("w",), (), (ctp, w_seed))
 
 
 def test_query_duplicate_tree_var_rejected():
@@ -112,7 +125,8 @@ def test_parse_groups_connected_patterns_into_one_bgp():
 def test_parse_filters():
     q = parse('''
         SELECT w
-        WHERE CTP("A", "B", *w) UNI LABEL {up, "down"} MAX 5 TOP 3 TIMEOUT 2.5
+        WHERE CTP("A", "B", *w) UNI LABEL {up, "down"} MAX 5
+              SCORE size TOP 3 TIMEOUT 2.5
     ''')
     f = q.ctps[0].filters
     assert f.uni and f.labels == frozenset({"up", "down"})
@@ -122,7 +136,16 @@ def test_parse_filters():
 def test_parse_limit_and_score():
     q = parse('SELECT w WHERE CTP("A", "B", *w) SCORE size LIMIT 1')
     f = q.ctps[0].filters
-    assert f.score == "size" and f.limit == 1
+    assert f.score is size_score and f.limit == 1
+
+
+def test_filter_keywords_name_the_ctpfilters_fields():
+    """Each filter keyword sets a field of the record the search takes,
+    and every field has a keyword but the testing budget ``max_built``."""
+    named = [field for field, _ in _FILTERS.values()]
+    assert sorted(named) == sorted(
+        f.name for f in fields(CTPFilters) if f.name != "max_built"
+    )
 
 
 @pytest.mark.parametrize("filters, kw", [

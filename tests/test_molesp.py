@@ -2,8 +2,9 @@
 equivalence with brute force for m <= 3."""
 import pytest
 
-from repro.core import esp, lesp, moesp, molesp
+from repro.core import esp, gam, lesp, moesp, molesp
 from repro.core.bruteforce import enumerate_results
+from repro.core.filters import CTPFilters
 from repro.graph import generators as gen
 from repro.graph.random_graphs import random_graph
 
@@ -116,8 +117,6 @@ def test_molesp_may_miss_non_property9_m4():
 
 def test_molesp_prunes_vs_gam_on_line():
     """Figure 11 shape: MoLESP builds fewer provenances than GAM."""
-    from repro.core import gam
-
     b = gen.line(10, 4)
     assert (
         molesp(b.graph, b.seed_sets).stats.built
@@ -126,10 +125,26 @@ def test_molesp_prunes_vs_gam_on_line():
 
 
 def test_molesp_prunes_vs_gam_on_comb():
-    from repro.core import gam
-
     b = gen.comb(4, 1, 2, 2)
     assert (
         molesp(b.graph, b.seed_sets).stats.built
         < gam(b.graph, b.seed_sets).stats.built
     )
+
+
+@pytest.mark.parametrize("m, uni, n_results", [
+    (2, True, 256), (2, False, 256), (3, True, 496), (3, False, 2484),
+], ids=["m2-uni", "m2-bidirectional", "m3-uni", "m3-bidirectional"])
+def test_complete_engines_agree_on_cdf(m, uni, n_results):
+    """Where no oracle reaches: GAM and MoLESP are both complete for
+    m <= 3, so on a Fig 13/14 CDF graph with the seed sets of Q_M2/Q_M3
+    (the targets of the "c", "g" and "h" edges) they return the same
+    trees and bindings, each in one queue and in multi-queue."""
+    g = gen.cdf(m, n_t=128, n_l=256, s_l=3, seed=17).graph
+    ss = [sorted({e.dst for e in g.edges.values() if e.label == lab})
+          for lab in "cgh"[:m]]
+    filters = CTPFilters(uni=uni)
+    runs = [keys(algo(g, ss, filters=filters, multi_queue=mq))
+            for algo in (gam, molesp) for mq in (False, True)]
+    assert len(runs[0]) == n_results
+    assert all(r == runs[0] for r in runs[1:])
